@@ -60,15 +60,6 @@ class TraceCollector {
   std::int64_t last_time_ = 0;
 };
 
-/// Comma-joined per-channel occupancy bounds for printable equality checks.
-std::string occupancy(const std::vector<std::int64_t>& max_tokens) {
-  std::string out;
-  for (std::size_t i = 0; i < max_tokens.size(); ++i) {
-    out += (i ? "," : "") + std::to_string(max_tokens[i]);
-  }
-  return out;
-}
-
 Graph unbound_example() {
   Graph g = make_paper_example_application().sdf();
   g.set_execution_time(ActorId{0}, 1);
@@ -83,11 +74,9 @@ BindingAwareGraph binding_aware_example() {
                                    make_paper_example_binding(arch), {5, 5});
 }
 
-/// Returns the number of failed regression checks (0 = everything matched).
-int print_report() {
+void print_report() {
   using benchutil::compare;
   using benchutil::heading;
-  int failures = 0;
 
   heading("Fig. 5(a): self-timed state space of the example SDFG");
   {
@@ -131,27 +120,7 @@ int print_report() {
               << sched.schedules[1].to_string(app.sdf()) << " (paper: (a1 a2)*, (a3)*)\n";
     compare("a3 firing period",
             (r.base.iteration_period / Rational(gamma[2])).to_string(), "30");
-
-    // Occupancy-bound regression check: the constrained engine moves its
-    // journaled max-tokens vector into the result instead of copying it, and
-    // the parallel engine reconstructs the same bounds from its per-batch
-    // journal — a re-run at engine-jobs 2 must reproduce them channel for
-    // channel, and the vector must cover every channel.
-    TaskPool::set_global_jobs(2);
-    ExecutionLimits parallel_limits;
-    parallel_limits.engine_jobs = 2;
-    const ConstrainedResult r2 = execute_constrained(
-        bag.graph, gamma, make_constrained_spec(arch, bag, sched.schedules),
-        SchedulingMode::kStaticOrder, parallel_limits);
-    TaskPool::set_global_jobs(1);
-    compare("max-tokens bound (engine-jobs 2 vs serial)", occupancy(r2.base.max_tokens),
-            occupancy(r.base.max_tokens));
-    if (r.base.max_tokens.size() != bag.graph.num_channels() ||
-        r.base.max_tokens != r2.base.max_tokens) {
-      ++failures;
-    }
   }
-  return failures;
 }
 
 void BM_Fig5a_SelfTimed(benchmark::State& state) {
@@ -190,9 +159,9 @@ BENCHMARK(BM_Fig5c_Constrained);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int failures = print_report();
+  print_report();
   std::cout << "\n";
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return failures == 0 ? 0 : 1;
+  return 0;
 }

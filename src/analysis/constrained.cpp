@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <stdexcept>
 
-#include "src/analysis/engine_parallel.h"
 #include "src/analysis/remaining_multiset.h"
 #include "src/analysis/state_hash.h"
-#include "src/runtime/task_pool.h"
 
 namespace sdfmap {
 
@@ -51,6 +48,21 @@ std::int64_t slice_time_between(std::int64_t from, std::int64_t to, std::int64_t
 namespace {
 
 /// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2).
+///
+/// Cost per simulated instant is what bounds slice allocation, so the loop
+/// keeps per-instant work proportional to what changed:
+///  - actor ports are flattened once per execution (no graph lookups);
+///  - a START phase only re-evaluates actors whose inputs grew since they
+///    were last found disabled (a channel has one consumer, so nothing else
+///    can enable them);
+///  - firings carry absolute finish times, so advancing the clock touches no
+///    state and remaining work is only worked out when a state key is
+///    sampled;
+///  - the fixpoint at an instant runs a further pass only when the previous
+///    one started a zero-duration firing or hit the start cap — any other
+///    further pass would change nothing. Such a pass is still counted as one
+///    budget poll, so deadline and cancellation checks land exactly where
+///    they would with every pass executed.
 class ConstrainedExecutor {
  public:
   ConstrainedExecutor(const Graph& g, const RepetitionVector& gamma,
@@ -67,13 +79,20 @@ class ConstrainedExecutor {
   }
 
   ConstrainedResult run();
-  ConstrainedResult run_parallel();
 
  private:
+  /// One channel end of an actor: inputs use (channel, rate); outputs also
+  /// name the channel's consumer, which a production marks dirty.
+  struct Port {
+    std::uint32_t channel;
+    std::uint32_t consumer;
+    std::int64_t rate;
+  };
+
   struct TileState {
     bool busy = false;
     std::uint32_t firing_actor = 0;
-    std::int64_t remaining = 0;      // work units left of the active firing
+    std::int64_t finish = 0;         // absolute completion time of the active firing
     std::size_t schedule_pos = 0;    // static mode
     std::deque<std::uint32_t> ready; // list mode
   };
@@ -105,80 +124,100 @@ class ConstrainedExecutor {
     }
   }
 
+  /// Number of firings of `a` the current tokens enable, capped at
+  /// max_tokens_per_channel (actors without inputs are capped too).
+  std::int64_t enabled_firings(std::uint32_t a) const {
+    std::int64_t enabled = limits_.max_tokens_per_channel;
+    for (std::uint32_t i = in_begin_[a]; i < in_begin_[a + 1]; ++i) {
+      enabled = std::min(enabled, tokens_[in_ports_[i].channel] / in_ports_[i].rate);
+      if (enabled == 0) break;
+    }
+    return enabled;
+  }
+
   bool tokens_available(std::uint32_t a) const {
-    for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-      if (tokens_[cid.value] < g_.channel(cid).consumption_rate) return false;
+    for (std::uint32_t i = in_begin_[a]; i < in_begin_[a + 1]; ++i) {
+      if (tokens_[in_ports_[i].channel] < in_ports_[i].rate) return false;
     }
     return true;
   }
 
-  void consume_inputs(std::uint32_t a) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-      tokens_[cid.value] -= g_.channel(cid).consumption_rate;
+  void consume_inputs(std::uint32_t a, std::int64_t firings) {
+    for (std::uint32_t i = in_begin_[a]; i < in_begin_[a + 1]; ++i) {
+      tokens_[in_ports_[i].channel] -= in_ports_[i].rate * firings;
     }
   }
 
-  void produce_outputs(std::uint32_t a) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).outputs) {
-      tokens_[cid.value] += g_.channel(cid).production_rate;
-      max_tokens_[cid.value] = std::max(max_tokens_[cid.value], tokens_[cid.value]);
-      if (tokens_[cid.value] > limits_.max_tokens_per_channel) {
-        throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
-                            "execute_constrained: unbounded token accumulation on '" +
-                                g_.channel(cid).name + "'");
-      }
+  /// Produces the outputs of `firings` completed firings of `a` at once. When
+  /// any channel would exceed max_tokens_per_channel, the firings are
+  /// replayed one by one so the error names the channel that one-at-a-time
+  /// production overflows first.
+  void produce_outputs(std::uint32_t a, std::int64_t firings) {
+    const std::uint32_t begin = out_begin_[a];
+    const std::uint32_t end = out_begin_[a + 1];
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const std::int64_t room = limits_.max_tokens_per_channel - tokens_[out_ports_[i].channel];
+      if (room < 0 || room / out_ports_[i].rate < firings) throw_divergence(a);
+    }
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const Port& p = out_ports_[i];
+      tokens_[p.channel] += p.rate * firings;
+      max_tokens_[p.channel] = std::max(max_tokens_[p.channel], tokens_[p.channel]);
+      dirty_[p.consumer] = 1;
     }
   }
 
-  /// Parallel-phase variant of produce_outputs: occupancy-maximum increases
-  /// go into `journal` (for speculative rollback) and the first over-limit
-  /// channel is recorded in `violation` instead of thrown — chunks must not
-  /// throw, so the coordinator can raise the serial-order-first violation
-  /// after the merge.
-  void produce_outputs_journaled(std::uint32_t a, std::vector<MaxTokenEntry>& journal,
-                                 std::int32_t& violation) {
-    for (const ChannelId cid : g_.actor(ActorId{a}).outputs) {
-      tokens_[cid.value] += g_.channel(cid).production_rate;
-      if (tokens_[cid.value] > max_tokens_[cid.value]) {
-        max_tokens_[cid.value] = tokens_[cid.value];
-        journal.push_back({cid.value, tokens_[cid.value]});
-      }
-      if (tokens_[cid.value] > limits_.max_tokens_per_channel && violation < 0) {
-        violation = static_cast<std::int32_t>(cid.value);
+  [[noreturn]] void throw_divergence(std::uint32_t a) {
+    while (true) {
+      for (std::uint32_t i = out_begin_[a]; i < out_begin_[a + 1]; ++i) {
+        const Port& p = out_ports_[i];
+        tokens_[p.channel] += p.rate;
+        if (tokens_[p.channel] > limits_.max_tokens_per_channel) {
+          throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
+                              "execute_constrained: unbounded token accumulation on '" +
+                                  g_.channel(ChannelId{p.channel}).name + "'");
+        }
       }
     }
   }
 
   void init_state() {
+    const std::size_t num_actors = g_.num_actors();
     tokens_.resize(g_.num_channels());
     for (std::size_t i = 0; i < g_.num_channels(); ++i) {
       tokens_[i] = g_.channels()[i].initial_tokens;
     }
     max_tokens_ = tokens_;
     tiles_.assign(spec_.tiles.size(), {});
-    unscheduled_remaining_.assign(g_.num_actors(), {});
-    pending_claims_.assign(g_.num_actors(), 0);
-    fire_count_.assign(g_.num_actors(), 0);
+    unscheduled_remaining_.assign(num_actors, {});
+    pending_claims_.assign(num_actors, 0);
+    fire_count_.assign(num_actors, 0);
     recorded_starts_.assign(spec_.tiles.size(), {});
+    dirty_.assign(num_actors, 1);
+    in_begin_.assign(num_actors + 1, 0);
+    out_begin_.assign(num_actors + 1, 0);
+    for (std::uint32_t a = 0; a < num_actors; ++a) {
+      const Actor& actor = g_.actor(ActorId{a});
+      exec_time_.push_back(actor.execution_time);
+      for (const ChannelId cid : actor.inputs) {
+        in_ports_.push_back({cid.value, a, g_.channel(cid).consumption_rate});
+      }
+      for (const ChannelId cid : actor.outputs) {
+        const Channel& c = g_.channel(cid);
+        out_ports_.push_back({cid.value, c.dst.value, c.production_rate});
+      }
+      in_begin_[a + 1] = static_cast<std::uint32_t>(in_ports_.size());
+      out_begin_[a + 1] = static_cast<std::uint32_t>(out_ports_.size());
+      (spec_.actor_tile[a] == kUnscheduled ? unscheduled_ : tile_actors_).push_back(a);
+    }
   }
 
-  /// List mode: enqueue newly enabled firing instances of every tile actor.
-  /// A queued instance claims tokens it has not consumed yet, so the number
-  /// of queued instances per actor never exceeds min_c floor(tokens/rate).
-  void refresh_ready_lists() {
-    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
-      const std::int32_t t = spec_.actor_tile[a];
-      if (t == kUnscheduled) continue;
-      std::int64_t enabled = limits_.max_tokens_per_channel;
-      for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-        enabled = std::min(enabled, tokens_[cid.value] / g_.channel(cid).consumption_rate);
-      }
-      const std::int64_t pending = pending_claims_[a];
-      for (std::int64_t i = pending; i < enabled; ++i) {
-        tiles_[t].ready.push_back(a);
-        ++pending_claims_[a];
-      }
-    }
+  /// Work units the active firing of tile `t` still needs.
+  std::int64_t tile_remaining(std::size_t t) const {
+    const TileState& ts = tiles_[t];
+    if (ts.finish == kNeverCompletes) return exec_time_[ts.firing_actor];  // zero slice
+    const TdmaTileSpec& tile = spec_.tiles[t];
+    return slice_time_between(now_, ts.finish, tile.wheel_size, tile.slice, tile.slice_offset);
   }
 
   /// Serializes the extended state into a caller-owned key, reusing its word
@@ -191,7 +230,7 @@ class ConstrainedExecutor {
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       const TileState& ts = tiles_[t];
       key.words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
-      key.words.push_back(ts.busy ? ts.remaining : -1);
+      key.words.push_back(ts.busy ? tile_remaining(t) : -1);
       key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
       key.words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
       if (mode_ == SchedulingMode::kListScheduling) {
@@ -199,9 +238,8 @@ class ConstrainedExecutor {
         for (const std::uint32_t a : ts.ready) key.words.push_back(a);
       }
     }
-    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
-      unscheduled_remaining_[a].encode(key.words);
+    for (const std::uint32_t a : unscheduled_) {
+      unscheduled_remaining_[a].encode(now_, key.words);
     }
   }
 
@@ -221,13 +259,19 @@ class ConstrainedExecutor {
   std::vector<std::int64_t> pending_claims_;                      // list mode, per actor
   std::vector<std::int64_t> fire_count_;
   std::vector<std::vector<ActorId>> recorded_starts_;             // list mode, per tile
+  // Set when an actor's inputs grew since a START phase last found it
+  // disabled; only dirty actors are re-evaluated.
+  std::vector<char> dirty_;
+  std::vector<std::int64_t> exec_time_;
+  std::vector<std::uint32_t> in_begin_, out_begin_;  // per actor, into the port arrays
+  std::vector<Port> in_ports_, out_ports_;
+  std::vector<std::uint32_t> unscheduled_;  // unscheduled actors, ascending
+  std::vector<std::uint32_t> tile_actors_;  // tile-bound actors, ascending
 };
 
 ConstrainedResult ConstrainedExecutor::run() {
   const std::size_t num_actors = g_.num_actors();
   init_state();
-  EngineStatsScope engine_stats(limits_.engine_stats);
-  engine_stats.stats.serial_executions = 1;
 
   struct Snapshot {
     std::int64_t time = 0;
@@ -252,6 +296,7 @@ ConstrainedResult ConstrainedExecutor::run() {
   if (!have_ref) return result;
   std::int64_t sampled_ref_fires = -1;
   std::uint64_t steps = 0;
+  const std::int64_t start_cap = limits_.max_tokens_per_channel;
 
   // Pre-size the sampled-state map from the repetition vector (≈ γ(ref)
   // samples per iteration, capped) and keep one scratch key plus one
@@ -271,17 +316,19 @@ ConstrainedResult ConstrainedExecutor::run() {
       event.started.clear();
     }
     std::uint64_t instant_events = 0;
-    bool changed = true;
-    while (changed) {
-      changed = false;
+    bool another_pass = true;
+    while (another_pass) {
+      bool changed = false;
+      // A zero-duration start or a capped start can enable more work at this
+      // instant; nothing else can (see the class comment).
+      bool cascade = false;
       // End unscheduled firings that have completed.
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        if (spec_.actor_tile[a] != kUnscheduled) continue;
+      for (const std::uint32_t a : unscheduled_) {
         auto& rem = unscheduled_remaining_[a];
-        const std::int64_t ended = rem.zero_count();
+        const std::int64_t ended = rem.due(now_);
         if (ended == 0) continue;
-        rem.pop_zeros();
-        for (std::int64_t k = 0; k < ended; ++k) produce_outputs(a);
+        rem.pop_front();
+        produce_outputs(a, ended);
         fire_count_[a] += ended;
         if (observer_) event.ended.insert(event.ended.end(), ended, ActorId{a});
         changed = true;
@@ -289,9 +336,9 @@ ConstrainedResult ConstrainedExecutor::run() {
       }
       // End tile firings that have completed.
       for (auto& ts : tiles_) {
-        if (ts.busy && ts.remaining == 0) {
+        if (ts.busy && ts.finish == now_) {
           ts.busy = false;
-          produce_outputs(ts.firing_actor);
+          produce_outputs(ts.firing_actor, 1);
           ++fire_count_[ts.firing_actor];
           if (observer_) event.ended.push_back(ActorId{ts.firing_actor});
           changed = true;
@@ -299,63 +346,90 @@ ConstrainedResult ConstrainedExecutor::run() {
         }
       }
       // Start unscheduled firings (self-timed).
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        if (spec_.actor_tile[a] != kUnscheduled) continue;
-        std::int64_t started = limits_.max_tokens_per_channel;
-        for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-          started = std::min(started, tokens_[cid.value] / g_.channel(cid).consumption_rate);
-          if (started == 0) break;
+      for (const std::uint32_t a : unscheduled_) {
+        if (!dirty_[a]) continue;
+        const std::int64_t started = enabled_firings(a);
+        if (started == 0) {
+          dirty_[a] = 0;
+          continue;
         }
-        if (started == 0) continue;
-        for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
-          tokens_[cid.value] -= g_.channel(cid).consumption_rate * started;
+        if (started == start_cap) {
+          cascade = true;  // stays dirty: more firings may be enabled
+        } else {
+          dirty_[a] = 0;
         }
-        unscheduled_remaining_[a].add(g_.actor(ActorId{a}).execution_time, started);
+        consume_inputs(a, started);
+        unscheduled_remaining_[a].add(now_ + exec_time_[a], started);
+        cascade = cascade || exec_time_[a] == 0;
         if (observer_) event.started.insert(event.started.end(), started, ActorId{a});
         changed = true;
         instant_events += static_cast<std::uint64_t>(started);
       }
       // Start tile firings.
-      if (mode_ == SchedulingMode::kListScheduling) refresh_ready_lists();
+      if (mode_ == SchedulingMode::kListScheduling) {
+        // Enqueue newly enabled firing instances of every tile actor. A
+        // queued instance claims tokens it has not consumed yet, so the
+        // number of queued instances per actor never exceeds
+        // min_c floor(tokens/rate); starting one lowers both sides by one.
+        for (const std::uint32_t a : tile_actors_) {
+          if (!dirty_[a]) continue;
+          const std::int64_t enabled = enabled_firings(a);
+          if (enabled == start_cap) {
+            cascade = true;
+          } else {
+            dirty_[a] = 0;
+          }
+          auto& ready = tiles_[static_cast<std::size_t>(spec_.actor_tile[a])].ready;
+          for (std::int64_t i = pending_claims_[a]; i < enabled; ++i) {
+            ready.push_back(a);
+            ++pending_claims_[a];
+          }
+        }
+      }
       for (std::size_t t = 0; t < tiles_.size(); ++t) {
         TileState& ts = tiles_[t];
         if (ts.busy) continue;
+        std::uint32_t a = 0;
         if (mode_ == SchedulingMode::kStaticOrder) {
           const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
           if (ts.schedule_pos >= sched.size()) continue;
-          const ActorId a = sched.at(ts.schedule_pos);
-          if (!tokens_available(a.value)) continue;
-          consume_inputs(a.value);
-          ts.busy = true;
-          ts.firing_actor = a.value;
-          ts.remaining = g_.actor(a).execution_time;
+          a = sched.at(ts.schedule_pos).value;
+          if (!dirty_[a]) continue;
+          if (!tokens_available(a)) {
+            dirty_[a] = 0;
+            continue;
+          }
           ts.schedule_pos = sched.next(ts.schedule_pos);
-          if (observer_) event.started.push_back(a);
-          changed = true;
-          ++instant_events;
         } else {
           if (ts.ready.empty()) continue;
-          const std::uint32_t a = ts.ready.front();
+          a = ts.ready.front();
           ts.ready.pop_front();
           --pending_claims_[a];
           if (!tokens_available(a)) {
             throw std::logic_error("execute_constrained: ready-list claim without tokens");
           }
-          consume_inputs(a);
-          ts.busy = true;
-          ts.firing_actor = a;
-          ts.remaining = g_.actor(ActorId{a}).execution_time;
           recorded_starts_[t].push_back(ActorId{a});
-          if (observer_) event.started.push_back(ActorId{a});
-          changed = true;
-          ++instant_events;
         }
+        consume_inputs(a, 1);
+        const TdmaTileSpec& tile = spec_.tiles[t];
+        ts.busy = true;
+        ts.firing_actor = a;
+        ts.finish = completion_time(now_, exec_time_[a], tile.wheel_size, tile.slice,
+                                    tile.slice_offset);
+        cascade = cascade || ts.finish == now_;
+        if (observer_) event.started.push_back(ActorId{a});
+        changed = true;
+        ++instant_events;
       }
       if (instant_events > limits_.max_events_per_instant) {
         throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
                             "execute_constrained: zero-delay cycle at one instant");
       }
       budget_.check();
+      another_pass = changed && cascade;
+      // The pass after a change without a cascade would change nothing;
+      // account for it as one poll instead of running it.
+      if (changed && !cascade) budget_.check();
     }
     if (observer_ && (now_ == 0 || !event.ended.empty() || !event.started.empty())) {
       observer_(event);
@@ -421,17 +495,12 @@ ConstrainedResult ConstrainedExecutor::run() {
 
     // ---- Advance to the next completion event.
     std::int64_t next = kNeverCompletes;
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      const TileState& ts = tiles_[t];
-      if (!ts.busy) continue;
-      next = std::min(next, completion_time(now_, ts.remaining, spec_.tiles[t].wheel_size,
-                                            spec_.tiles[t].slice,
-                                            spec_.tiles[t].slice_offset));
+    for (const TileState& ts : tiles_) {
+      if (ts.busy) next = std::min(next, ts.finish);
     }
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
+    for (const std::uint32_t a : unscheduled_) {
       if (!unscheduled_remaining_[a].empty()) {
-        next = std::min(next, now_ + unscheduled_remaining_[a].front());
+        next = std::min(next, unscheduled_remaining_[a].front());
       }
     }
     if (next == kNeverCompletes) {
@@ -441,301 +510,7 @@ ConstrainedResult ConstrainedExecutor::run() {
       result.base.max_tokens = std::move(max_tokens_);
       return result;
     }
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      TileState& ts = tiles_[t];
-      if (!ts.busy) continue;
-      ts.remaining -= slice_time_between(now_, next, spec_.tiles[t].wheel_size,
-                                         spec_.tiles[t].slice, spec_.tiles[t].slice_offset);
-    }
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      if (spec_.actor_tile[a] != kUnscheduled) continue;
-      unscheduled_remaining_[a].advance(next - now_);
-    }
     now_ = next;
-  }
-}
-
-/// Parallel engine for the static-order/TDMA-constrained semantics: the
-/// self-timed (unscheduled) actors run as parallel END/START phases exactly
-/// like self_timed_parallel in state_space.cpp (every channel has one
-/// producer and one consumer, so per-actor updates never alias), while tile
-/// bookkeeping stays on the coordinator — tiles are few and their serial
-/// order (END unscheduled, END tiles, START unscheduled, START tiles) is
-/// preserved verbatim. Recurrence detection is the same batched speculative
-/// flush through a ShardedStateSet, with the max-tokens journal rolling back
-/// overshoot. List scheduling keeps the serial engine (its ready lists are
-/// order-sensitive), as does any execution with an observer; see
-/// execute_constrained below.
-ConstrainedResult ConstrainedExecutor::run_parallel() {
-  const std::size_t num_actors = g_.num_actors();
-  init_state();
-  EngineTeam team(limits_.engine_jobs, TaskPool::global());
-  EngineStatsScope stats(limits_.engine_stats);
-  stats.stats.parallel_executions = 1;
-  stats.stats.shards = static_cast<long>(ShardedStateSet::kShards);
-  stats.team = &team;
-
-  ShardedStateSet seen;
-  std::vector<PendingSample> pending;
-  std::vector<MaxTokenEntry> journal;
-  std::vector<std::int64_t> journal_base;
-  std::uint64_t samples_taken = 0;
-
-  ConstrainedResult result;
-
-  std::uint32_t ref = 0;
-  bool have_ref = false;
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    if (gamma_[a] > 0 && (!have_ref || gamma_[a] < gamma_[ref])) {
-      ref = a;
-      have_ref = true;
-    }
-  }
-  if (!have_ref) return result;
-  std::int64_t sampled_ref_fires = -1;
-  std::uint64_t steps = 0;
-
-  seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(4096, limits_.max_states),
-      static_cast<std::uint64_t>(gamma_[ref]) * 4 + 16)));
-  journal_base = max_tokens_;
-
-  const std::size_t chunk = team.chunk_size(num_actors);
-  const std::size_t nchunks = EngineTeam::num_chunks(num_actors, chunk);
-  struct ChunkOut {
-    bool changed = false;
-    std::uint64_t events = 0;
-    std::int64_t next = 0;
-    std::int32_t violation = -1;
-    std::vector<MaxTokenEntry> journal;
-  };
-  std::vector<ChunkOut> outs(nchunks);
-
-  auto flush_detection = [&]() -> std::optional<ConstrainedResult> {
-    if (pending.empty()) return std::nullopt;
-    stats.stats.detection_batches += 1;
-    const std::size_t batch = pending.size();
-    const auto hit = seen.flush(pending, team);
-    if (!hit) {
-      pending.clear();
-      journal_base = max_tokens_;
-      journal.clear();
-      return std::nullopt;
-    }
-    stats.stats.speculative_hits += 1;
-    stats.stats.overshoot_samples += static_cast<long>(batch - 1 - hit->index);
-    const PendingSample& s = pending[hit->index];
-    const ShardedStateSet::Snapshot& prev = *hit->prev;
-    ConstrainedResult r;
-    const std::int64_t span = s.time - prev.time;
-    for (std::uint32_t a = 0; a < num_actors; ++a) {
-      const std::int64_t delta = s.fires[a] - prev.fires[a];
-      if (delta > 0 && gamma_[a] > 0) {
-        r.base.status = SelfTimedResult::Status::kPeriodic;
-        r.base.iteration_period = Rational(span) * Rational(gamma_[a], delta);
-        r.base.cycle_start_time = prev.time;
-        r.base.cycle_end_time = s.time;
-        r.base.cycle_firings = delta;
-        r.base.period_firings.resize(num_actors);
-        for (std::uint32_t b = 0; b < num_actors; ++b) {
-          r.base.period_firings[b] = s.fires[b] - prev.fires[b];
-        }
-        break;
-      }
-    }
-    r.base.states_stored = samples_taken - batch + hit->index;
-    r.base.max_tokens = reconstruct_max_tokens(journal_base, journal, s.journal_len);
-    return r;
-  };
-
-  while (true) {
-    try {
-      // ---- Fixpoint at the current instant: the serial phase order with the
-      // two unscheduled-actor passes parallelized.
-      std::uint64_t instant_events = 0;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        // End unscheduled firings (parallel).
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          out.violation = -1;
-          out.journal.clear();
-          for (std::size_t a = begin; a < end; ++a) {
-            if (spec_.actor_tile[a] != kUnscheduled) continue;
-            auto& rem = unscheduled_remaining_[a];
-            const std::int64_t ended = rem.zero_count();
-            if (ended == 0) continue;
-            rem.pop_zeros();
-            // Per-firing production mirrors the serial engine's check order,
-            // so a divergence error names the same channel.
-            for (std::int64_t k = 0; k < ended; ++k) {
-              produce_outputs_journaled(static_cast<std::uint32_t>(a), out.journal,
-                                        out.violation);
-            }
-            fire_count_[a] += ended;
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(ended);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          const ChunkOut& out = outs[c];
-          if (out.violation >= 0) {
-            throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
-                                "execute_constrained: unbounded token accumulation on '" +
-                                    g_.channel(ChannelId{static_cast<std::uint32_t>(
-                                                   out.violation)}).name +
-                                    "'");
-          }
-          changed = changed || out.changed;
-          instant_events += out.events;
-          journal.insert(journal.end(), out.journal.begin(), out.journal.end());
-        }
-        // End tile firings (serial; tile production journals directly).
-        for (auto& ts : tiles_) {
-          if (ts.busy && ts.remaining == 0) {
-            ts.busy = false;
-            std::int32_t violation = -1;
-            produce_outputs_journaled(ts.firing_actor, journal, violation);
-            if (violation >= 0) {
-              throw AnalysisError(
-                  AnalysisErrorKind::kTokenDivergence,
-                  "execute_constrained: unbounded token accumulation on '" +
-                      g_.channel(ChannelId{static_cast<std::uint32_t>(violation)}).name +
-                      "'");
-            }
-            ++fire_count_[ts.firing_actor];
-            changed = true;
-            ++instant_events;
-          }
-        }
-        // Start unscheduled firings (parallel).
-        team.for_chunks(num_actors, chunk,
-                        [&](std::size_t begin, std::size_t end, std::size_t c) {
-          ChunkOut& out = outs[c];
-          out.changed = false;
-          out.events = 0;
-          for (std::size_t a = begin; a < end; ++a) {
-            if (spec_.actor_tile[a] != kUnscheduled) continue;
-            const ActorId aid{static_cast<std::uint32_t>(a)};
-            std::int64_t started = limits_.max_tokens_per_channel;
-            for (const ChannelId cid : g_.actor(aid).inputs) {
-              started = std::min(started,
-                                 tokens_[cid.value] / g_.channel(cid).consumption_rate);
-              if (started == 0) break;
-            }
-            if (started == 0) continue;
-            for (const ChannelId cid : g_.actor(aid).inputs) {
-              tokens_[cid.value] -= g_.channel(cid).consumption_rate * started;
-            }
-            unscheduled_remaining_[a].add(g_.actor(aid).execution_time, started);
-            out.changed = true;
-            out.events += static_cast<std::uint64_t>(started);
-          }
-        });
-        for (std::size_t c = 0; c < nchunks; ++c) {
-          changed = changed || outs[c].changed;
-          instant_events += outs[c].events;
-        }
-        // Start tile firings (serial; static order only on this path).
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          TileState& ts = tiles_[t];
-          if (ts.busy) continue;
-          const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
-          if (ts.schedule_pos >= sched.size()) continue;
-          const ActorId a = sched.at(ts.schedule_pos);
-          if (!tokens_available(a.value)) continue;
-          consume_inputs(a.value);
-          ts.busy = true;
-          ts.firing_actor = a.value;
-          ts.remaining = g_.actor(a).execution_time;
-          ts.schedule_pos = sched.next(ts.schedule_pos);
-          changed = true;
-          ++instant_events;
-        }
-        if (instant_events > limits_.max_events_per_instant) {
-          throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
-                              "execute_constrained: zero-delay cycle at one instant");
-        }
-        budget_.check();
-      }
-
-      // ---- Recurrence detection: append the sample, flush speculatively.
-      if (fire_count_[ref] != sampled_ref_fires) {
-        sampled_ref_fires = fire_count_[ref];
-        PendingSample s;
-        encode_key(s.key);
-        s.time = now_;
-        s.journal_len = journal.size();
-        s.fires = fire_count_;
-        pending.push_back(std::move(s));
-        ++samples_taken;
-        const bool at_state_limit = samples_taken > limits_.max_states;
-        if (at_state_limit || pending.size() >= detection_horizon(samples_taken)) {
-          if (auto r = flush_detection()) return *r;
-          if (at_state_limit) {
-            throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                                "execute_constrained: state limit exceeded");
-          }
-        }
-      } else if (++steps > limits_.max_time_steps) {
-        throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                            "execute_constrained: step limit exceeded (livelock?)");
-      }
-      budget_.check();
-
-      // ---- Advance to the next completion event (tiles serial, unscheduled
-      // actors as a parallel min-reduce).
-      std::int64_t next = kNeverCompletes;
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const TileState& ts = tiles_[t];
-        if (!ts.busy) continue;
-        next = std::min(next, completion_time(now_, ts.remaining, spec_.tiles[t].wheel_size,
-                                              spec_.tiles[t].slice,
-                                              spec_.tiles[t].slice_offset));
-      }
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t c) {
-        std::int64_t m = kNeverCompletes;
-        for (std::size_t a = begin; a < end; ++a) {
-          if (spec_.actor_tile[a] != kUnscheduled) continue;
-          if (!unscheduled_remaining_[a].empty()) {
-            m = std::min(m, now_ + unscheduled_remaining_[a].front());
-          }
-        }
-        outs[c].next = m;
-      });
-      for (std::size_t c = 0; c < nchunks; ++c) next = std::min(next, outs[c].next);
-      if (next == kNeverCompletes) {
-        if (auto r = flush_detection()) return *r;
-        result.base.status = SelfTimedResult::Status::kDeadlock;
-        result.base.states_stored = samples_taken;
-        result.base.max_tokens = std::move(max_tokens_);
-        return result;
-      }
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        TileState& ts = tiles_[t];
-        if (!ts.busy) continue;
-        ts.remaining -= slice_time_between(now_, next, spec_.tiles[t].wheel_size,
-                                           spec_.tiles[t].slice, spec_.tiles[t].slice_offset);
-      }
-      team.for_chunks(num_actors, chunk,
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t a = begin; a < end; ++a) {
-          if (spec_.actor_tile[a] != kUnscheduled) continue;
-          unscheduled_remaining_[a].advance(next - now_);
-        }
-      });
-      now_ = next;
-    } catch (const AnalysisError&) {
-      // A hit pending in the batch supersedes an error raised during
-      // speculative overshoot (the serial engine returns at the hit first).
-      if (auto r = flush_detection()) return *r;
-      throw;
-    }
   }
 }
 
@@ -745,14 +520,7 @@ ConstrainedResult execute_constrained(const Graph& g, const RepetitionVector& ga
                                       const ConstrainedSpec& spec, SchedulingMode mode,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  ConstrainedExecutor executor(g, gamma, spec, mode, limits, observer);
-  // Observers need the single ordered event stream of the serial engine, and
-  // list scheduling's ready lists are order-sensitive; both keep the serial
-  // path (results are identical either way — engine_jobs is a speed knob).
-  if (limits.engine_jobs > 1 && !observer && mode == SchedulingMode::kStaticOrder) {
-    return executor.run_parallel();
-  }
-  return executor.run();
+  return ConstrainedExecutor(g, gamma, spec, mode, limits, observer).run();
 }
 
 }  // namespace sdfmap

@@ -6,53 +6,54 @@
 
 namespace sdfmap {
 
-/// Multiset of remaining execution times of the active firings of one actor,
-/// run-length encoded and sorted ascending.
+/// Multiset of the active firings of one actor, held as absolute finish
+/// times, run-length encoded and sorted ascending.
 ///
 /// Self-timed executions of multi-rate graphs start many identical firings at
 /// the same instant (e.g. all 2376 IQ firings of an H.263 iteration), so the
 /// multiset typically holds a handful of distinct values with large counts;
 /// every operation below is linear in the number of *distinct* values.
+/// Absolute times mean advancing the clock touches no entry: the remaining
+/// work `finish - now` is only worked out when a state key is encoded.
 class RemainingMultiset {
  public:
   struct Entry {
-    std::int64_t remaining;
+    std::int64_t finish;
     std::int64_t count;
   };
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// Smallest remaining time; requires non-empty.
-  [[nodiscard]] std::int64_t front() const { return entries_.front().remaining; }
+  /// Earliest finish time; requires non-empty.
+  [[nodiscard]] std::int64_t front() const { return entries_.front().finish; }
 
-  /// Number of firings with remaining time zero.
-  [[nodiscard]] std::int64_t zero_count() const {
-    return (!entries_.empty() && entries_.front().remaining == 0) ? entries_.front().count : 0;
+  /// Number of firings finishing exactly at `now`.
+  [[nodiscard]] std::int64_t due(std::int64_t now) const {
+    return (!entries_.empty() && entries_.front().finish == now) ? entries_.front().count : 0;
   }
 
-  /// Removes all zero-remaining firings (after they produced their tokens).
-  void pop_zeros() {
-    if (!entries_.empty() && entries_.front().remaining == 0) {
-      entries_.erase(entries_.begin());
-    }
-  }
+  /// Removes the firings with the earliest finish time (after they produced
+  /// their tokens); requires non-empty.
+  void pop_front() { entries_.erase(entries_.begin()); }
 
-  /// Starts `count` firings with `remaining` work each.
-  void add(std::int64_t remaining, std::int64_t count) {
+  /// Starts `count` firings finishing at `finish` each.
+  void add(std::int64_t finish, std::int64_t count) {
     if (count <= 0) return;
+    // Firings of one actor share an execution time, so a new start finishes
+    // no earlier than every active one: the common case appends or merges at
+    // the back.
+    if (entries_.empty() || entries_.back().finish < finish) {
+      entries_.push_back(Entry{finish, count});
+      return;
+    }
     const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), remaining,
-        [](const Entry& e, std::int64_t value) { return e.remaining < value; });
-    if (it != entries_.end() && it->remaining == remaining) {
+        entries_.begin(), entries_.end(), finish,
+        [](const Entry& e, std::int64_t value) { return e.finish < value; });
+    if (it->finish == finish) {
       it->count += count;
     } else {
-      entries_.insert(it, Entry{remaining, count});
+      entries_.insert(it, Entry{finish, count});
     }
-  }
-
-  /// Advances every firing by `dt` work units (dt <= front()).
-  void advance(std::int64_t dt) {
-    for (Entry& e : entries_) e.remaining -= dt;
   }
 
   /// Total number of active firings.
@@ -62,11 +63,12 @@ class RemainingMultiset {
     return sum;
   }
 
-  /// Appends (size, remaining, count, ...) words to a state key.
-  void encode(std::vector<std::int64_t>& words) const {
+  /// Appends (size, remaining, count, ...) words to a state key, with the
+  /// remaining time of each entry measured from `now`.
+  void encode(std::int64_t now, std::vector<std::int64_t>& words) const {
     words.push_back(static_cast<std::int64_t>(entries_.size()));
     for (const Entry& e : entries_) {
-      words.push_back(e.remaining);
+      words.push_back(e.finish - now);
       words.push_back(e.count);
     }
   }

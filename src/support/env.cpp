@@ -37,20 +37,6 @@ ParsedEnvJobs parse_env_jobs(const char* value, unsigned fallback) {
                                 "an integer in [1, 1024]", std::to_string(fallback))};
 }
 
-ParsedEnvJobs parse_env_engine_jobs(const char* value, unsigned fallback) {
-  if (!value || *value == '\0') return {fallback, ""};
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  const bool numeric = end != value && *end == '\0' && errno == 0;
-  if (numeric && parsed >= 1 && parsed <= kMaxEnvJobs) {
-    return {static_cast<unsigned>(parsed), ""};
-  }
-  return {fallback,
-          invalid_value_message("SDFMAP_ENGINE_JOBS", value,
-                                "an integer in [1, 1024]", std::to_string(fallback))};
-}
-
 ParsedEnvBool parse_env_cache(const char* value, bool fallback) {
   if (!value || *value == '\0') return {fallback, ""};
   const std::string_view v(value);

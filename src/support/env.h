@@ -30,12 +30,6 @@ struct ParsedEnvJobs {
 };
 [[nodiscard]] ParsedEnvJobs parse_env_jobs(const char* value, unsigned fallback);
 
-/// SDFMAP_ENGINE_JOBS: intra-engine parallelism of every state-space
-/// execution (ExecutionLimits::engine_jobs), a positive integer up to
-/// kMaxEnvJobs. Same grammar and fallback discipline as SDFMAP_JOBS; the
-/// --engine-jobs CLI flag overrides this.
-[[nodiscard]] ParsedEnvJobs parse_env_engine_jobs(const char* value, unsigned fallback);
-
 /// SDFMAP_CACHE: 1/on/true/yes or 0/off/false/no (case-sensitive, matching
 /// the documented spelling). Unset uses the fallback silently; any other
 /// value uses the fallback with a diagnostic.

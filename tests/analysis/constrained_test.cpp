@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <vector>
+
 #include "src/sdf/builder.h"
 #include "src/sdf/repetition_vector.h"
 
@@ -242,6 +245,82 @@ TEST(Constrained, SpecValidation) {
   EXPECT_THROW(
       (void)execute_constrained(g, *gamma, bad_schedule, SchedulingMode::kStaticOrder),
       std::invalid_argument);
+}
+
+/// Two tiles on wheels of 7 and 11 with 3-unit slices, joined through two
+/// unscheduled actors into one ring with a single token.
+struct TwoTileRing {
+  Graph g;
+  ConstrainedSpec spec;
+  RepetitionVector gamma;
+
+  TwoTileRing() {
+    const ActorId a = g.add_actor("a", 2);
+    const ActorId u = g.add_actor("u", 3);
+    const ActorId b = g.add_actor("b", 3);
+    const ActorId v = g.add_actor("v", 1);
+    g.add_channel(a, u, 1, 1, 0, "au");
+    g.add_channel(u, b, 1, 1, 0, "ub");
+    g.add_channel(b, v, 1, 1, 0, "bv");
+    g.add_channel(v, a, 1, 1, 1, "va");
+    gamma = *compute_repetition_vector(g);
+    spec.actor_tile = {0, kUnscheduled, 1, kUnscheduled};
+    StaticOrderSchedule on_a;
+    on_a.firings = {a};
+    StaticOrderSchedule on_b;
+    on_b.firings = {b};
+    spec.tiles.push_back({7, 3, 0, on_a});
+    spec.tiles.push_back({11, 3, 0, on_b});
+  }
+};
+
+TEST(Constrained, FixedExecutionIsPinned) {
+  // Every field the throughput cache and its persistent store keep for an
+  // entry. Where the period closes (states_stored, cycle start and end) is
+  // decided by equality of the sampled state keys, so a change to what the
+  // keys encode shows here, and entries written by older builds stay valid.
+  const TwoTileRing ring;
+  const ConstrainedResult r =
+      execute_constrained(ring.g, ring.gamma, ring.spec, SchedulingMode::kStaticOrder);
+  ASSERT_FALSE(r.base.deadlocked());
+  EXPECT_EQ(r.base.iteration_period, Rational(77, 5));
+  EXPECT_EQ(r.base.states_stored, 7u);
+  EXPECT_EQ(r.base.cycle_start_time, 17);
+  EXPECT_EQ(r.base.cycle_end_time, 94);
+  EXPECT_EQ(r.base.cycle_firings, 5);
+  EXPECT_EQ(r.base.period_firings, (std::vector<std::int64_t>{5, 5, 5, 5}));
+  EXPECT_EQ(r.base.max_tokens, (std::vector<std::int64_t>{1, 1, 1, 1}));
+
+  const ConstrainedResult list =
+      execute_constrained(ring.g, ring.gamma, ring.spec, SchedulingMode::kListScheduling);
+  ASSERT_FALSE(list.base.deadlocked());
+  EXPECT_EQ(list.base.iteration_period, Rational(77, 5));
+  EXPECT_EQ(list.base.states_stored, 7u);
+  EXPECT_EQ(list.base.cycle_start_time, 17);
+  EXPECT_EQ(list.base.cycle_end_time, 94);
+  ASSERT_EQ(list.schedules.size(), 2u);
+  EXPECT_EQ(list.schedules[0].firings, std::vector<ActorId>(7, ActorId{0}));
+  EXPECT_EQ(list.schedules[0].loop_start, 2u);
+  EXPECT_EQ(list.schedules[1].firings, std::vector<ActorId>(6, ActorId{2}));
+  EXPECT_EQ(list.schedules[1].loop_start, 1u);
+}
+
+TEST(Constrained, ExpiredDeadlineIsSeenWithinTheExecution) {
+  // The budget is polled once per fixpoint pass at an instant — the pass
+  // that would find nothing left to do included — and once per instant
+  // after recurrence detection; only every 64th poll reads the clock. This
+  // execution takes 77 polls (about 51 if the idle passes were not
+  // counted), so an already-expired deadline must still stop it.
+  const TwoTileRing ring;
+  ExecutionLimits limits;
+  limits.budget = AnalysisBudget::expiring_in(std::chrono::milliseconds(0));
+  try {
+    (void)execute_constrained(ring.g, ring.gamma, ring.spec, SchedulingMode::kStaticOrder,
+                              limits);
+    FAIL() << "expected the expired deadline to stop the execution";
+  } catch (const AnalysisError& e) {
+    EXPECT_EQ(e.kind(), AnalysisErrorKind::kDeadlineExceeded);
+  }
 }
 
 // Monotonicity property: larger slices never reduce throughput.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -209,37 +210,33 @@ TEST(ProtocolTest, AllocateRequestBackendBounds) {
   EXPECT_EQ(out->backend, 1u);
 }
 
-TEST(ProtocolTest, EngineJobsTagRoundtripAndBounds) {
-  // Tag 18 rides only when engine_jobs > 1, so a serial request's wire bytes
-  // are identical to a pre-tag client's and old servers behave identically.
-  AllocateRequest serial;
-  AllocateRequest parallel;
-  parallel.engine_jobs = 8;
-  EXPECT_EQ(encode_allocate_request(serial), encode_allocate_request(AllocateRequest{}));
-  EXPECT_NE(encode_allocate_request(parallel), encode_allocate_request(serial));
-  const auto out = decode_allocate_request(encode_allocate_request(parallel));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->engine_jobs, 8u);
-  const auto defaulted = decode_allocate_request(encode_allocate_request(serial));
-  ASSERT_TRUE(defaulted.has_value());
-  EXPECT_EQ(defaulted->engine_jobs, 1u);
-
-  // 0 and anything above 1024 are malformed on the wire. 0 never encodes (the
-  // tag is omitted at <= 1), so splice the value bytes of a legal encoding:
-  // the engine_jobs TLV is the last field — tag u16, len u32, u32 value.
-  std::string wire = encode_allocate_request(parallel);
-  wire.replace(wire.size() - 4, 4, std::string(4, '\0'));
-  EXPECT_FALSE(decode_allocate_request(wire).has_value());
-  AllocateRequest oversized;
-  oversized.engine_jobs = 1025;
-  EXPECT_FALSE(decode_allocate_request(encode_allocate_request(oversized)).has_value());
-
-  ThroughputRequest tp;
-  tp.graph_text = "g";
-  tp.engine_jobs = 4;
-  const auto tp_out = decode_throughput_request(encode_throughput_request(tp));
-  ASSERT_TRUE(tp_out.has_value());
-  EXPECT_EQ(tp_out->engine_jobs, 4u);
+TEST(ProtocolTest, RetiredEngineJobsTagIsSkipped) {
+  // Older clients append tag 18 (a u32 engine worker count, formerly
+  // rejected as malformed at 0 and above 1024). Decoders now skip it, so a
+  // request carrying it decodes to exactly the request without it — and the
+  // server, which only sees the decoded request, answers byte-identically.
+  const auto tag18 = [](std::uint32_t value) {
+    std::string tlv = {'\x12', '\0', '\x04', '\0', '\0', '\0'};  // tag 18, len 4
+    for (int i = 0; i < 4; ++i) tlv.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    return tlv;
+  };
+  AllocateRequest allocate;
+  allocate.app_text = "app";
+  allocate.platform_text = "platform";
+  allocate.backend = 2;
+  const std::string plain = encode_allocate_request(allocate);
+  ThroughputRequest throughput;
+  throughput.graph_text = "g";
+  throughput.deadline_ms = 7;
+  const std::string plain_tp = encode_throughput_request(throughput);
+  for (const std::uint32_t value : {0u, 1u, 8u, 1025u}) {
+    const auto out = decode_allocate_request(plain + tag18(value));
+    ASSERT_TRUE(out.has_value()) << value;
+    EXPECT_EQ(encode_allocate_request(*out), plain) << value;
+    const auto tp_out = decode_throughput_request(plain_tp + tag18(value));
+    ASSERT_TRUE(tp_out.has_value()) << value;
+    EXPECT_EQ(encode_throughput_request(*tp_out), plain_tp) << value;
+  }
 }
 
 TEST(ProtocolTest, ThroughputAndLintAndResponsesRoundtrip) {
