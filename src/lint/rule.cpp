@@ -2,6 +2,11 @@
 
 namespace sdfmap {
 
+std::optional<RepetitionVector> LintInput::repetition_vector(const Graph& g) const {
+  if (graph_gamma != nullptr && &g == graph) return *graph_gamma;
+  return compute_repetition_vector(g);
+}
+
 SourceSpan LintInput::actor_span(ActorId a) const {
   if (graph_provenance && a.value < graph_provenance->actors.size()) {
     return graph_provenance->actors[a.value];

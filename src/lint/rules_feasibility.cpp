@@ -171,7 +171,7 @@ void check_aggregate_capacity(const LintInput& in, std::vector<Diagnostic>& out)
   const Architecture& arch = *in.platform;
   const Rational& lambda = app.throughput_constraint();
   if (lambda.is_zero()) return;
-  const auto gamma = compute_repetition_vector(app.sdf());
+  const auto gamma = in.repetition_vector(app.sdf());
   if (!gamma) return;  // SDF001
   if (iteration_firings(*gamma) > kOverflowThreshold) return;  // SDF008
   // Best-case work per iteration: a lower bound on what any allocation puts
@@ -216,7 +216,7 @@ void check_actor_slice(const LintInput& in, std::vector<Diagnostic>& out) {
   const Architecture& arch = *in.platform;
   const Rational& lambda = app.throughput_constraint();
   if (lambda.is_zero()) return;
-  const auto gamma = compute_repetition_vector(app.sdf());
+  const auto gamma = in.repetition_vector(app.sdf());
   if (!gamma) return;
   if (iteration_firings(*gamma) > kOverflowThreshold) return;
   for (const ActorId a : app.sdf().actor_ids()) {

@@ -22,7 +22,7 @@ constexpr std::int64_t kOverflowThreshold = std::int64_t{1} << 31;
 
 void check_inconsistent(const LintInput& in, std::vector<Diagnostic>& out) {
   const Graph& g = *in.graph;
-  if (compute_repetition_vector(g)) return;
+  if (in.repetition_vector(g)) return;
   Diagnostic d;
   d.message = "graph is inconsistent: the balance equations only have the trivial solution,"
               " so no periodic schedule exists";
@@ -38,7 +38,7 @@ void check_inconsistent(const LintInput& in, std::vector<Diagnostic>& out) {
 
 void check_deadlock(const LintInput& in, std::vector<Diagnostic>& out) {
   const Graph& g = *in.graph;
-  const auto gamma = compute_repetition_vector(g);
+  const auto gamma = in.repetition_vector(g);
   if (!gamma) return;  // covered by SDF001
   // The liveness check simulates one full iteration firing-by-firing; skip
   // when SDF008 already flags the iteration as too large to simulate.
@@ -137,7 +137,7 @@ void check_zero_rates(const LintInput& in, std::vector<Diagnostic>& out) {
 
 void check_overflow_risk(const LintInput& in, std::vector<Diagnostic>& out) {
   const Graph& g = *in.graph;
-  const auto gamma = compute_repetition_vector(g);
+  const auto gamma = in.repetition_vector(g);
   if (!gamma) return;
   if (iteration_firings(*gamma) > kOverflowThreshold) {
     Diagnostic d;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/support/rational.h"
 
@@ -30,6 +31,27 @@ std::vector<std::int64_t> half_wheel_slices(const Architecture& arch) {
   return slices;
 }
 
+void set_slices(BindingAwareGraph& bag, const Architecture& arch,
+                const std::vector<std::int64_t>& slices) {
+  if (slices.size() != arch.num_tiles()) {
+    throw std::invalid_argument("build_binding_aware_graph: slices/tile count mismatch");
+  }
+  // Validate every sync actor before writing any, so a throw leaves `bag` as
+  // it was.
+  for (const auto& sync : bag.sync_actors) {
+    const Tile& dst = arch.tile(sync.tile);
+    if (dst.wheel_size < slices[sync.tile.value]) {
+      throw std::invalid_argument("build_binding_aware_graph: slice exceeds wheel on '" +
+                                  dst.name + "'");
+    }
+  }
+  for (const auto& sync : bag.sync_actors) {
+    bag.graph.set_execution_time(
+        sync.actor, arch.tile(sync.tile).wheel_size - slices[sync.tile.value]);
+  }
+  bag.slices = slices;
+}
+
 BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
                                             const Architecture& arch, const Binding& binding,
                                             const std::vector<std::int64_t>& slices,
@@ -43,8 +65,13 @@ BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
 
   const Graph& g = app.sdf();
   BindingAwareGraph out;
-  out.slices = slices;
   out.num_app_actors = g.num_actors();
+  // Errors are reported in channel order: a structural error on a channel
+  // yields to a slice error on an earlier channel's sync actor.
+  const auto reject = [&](const std::string& message) {
+    set_slices(out, arch, slices);
+    throw std::invalid_argument(message);
+  };
 
   // Application actors, with execution times from Γ and the bound tile.
   for (std::uint32_t a = 0; a < g.num_actors(); ++a) {
@@ -79,8 +106,7 @@ BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
                             ch.initial_tokens, ch.name);
       if (ch.src != ch.dst && req.alpha_tile > 0) {
         if (req.alpha_tile < ch.initial_tokens) {
-          throw std::invalid_argument("build_binding_aware_graph: α_tile < Tok on '" +
-                                      ch.name + "'");
+          reject("build_binding_aware_graph: α_tile < Tok on '" + ch.name + "'");
         }
         out.graph.add_channel(ch.dst, ch.src, ch.consumption_rate, ch.production_rate,
                               req.alpha_tile - ch.initial_tokens, ch.name + "_buf");
@@ -90,24 +116,17 @@ BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
 
     // Inter-tile: expand into connection + synchronization actors.
     const auto conn_id = arch.find_connection(src_tile, dst_tile);
-    if (!conn_id) {
-      throw std::invalid_argument("build_binding_aware_graph: no connection for '" +
-                                  ch.name + "'");
-    }
+    if (!conn_id) reject("build_binding_aware_graph: no connection for '" + ch.name + "'");
     const Connection& conn = arch.connection(*conn_id);
     const std::int64_t transfer =
         model.transfer_time(conn.latency, req.token_size, req.bandwidth);
-    const Tile& dst = arch.tile(dst_tile);
-    const std::int64_t wait = dst.wheel_size - slices[dst_tile.value];
-    if (wait < 0) {
-      throw std::invalid_argument("build_binding_aware_graph: slice exceeds wheel on '" +
-                                  dst.name + "'");
-    }
 
     const ActorId conn_actor = out.graph.add_actor("conn_" + ch.name, transfer);
     out.actor_tile.push_back(kUnscheduled);
-    const ActorId sync_actor = out.graph.add_actor("sync_" + ch.name, wait);
+    // Υ(sync) = w_dst − ω_dst is written by set_slices below.
+    const ActorId sync_actor = out.graph.add_actor("sync_" + ch.name, 0);
     out.actor_tile.push_back(kUnscheduled);
+    out.sync_actors.push_back({sync_actor, dst_tile});
 
     out.graph.add_channel(conn_actor, conn_actor, 1, 1, 1, ch.name + "_seq");
     out.graph.add_channel(ch.src, conn_actor, ch.production_rate, 1, 0, ch.name + "_src");
@@ -120,13 +139,13 @@ BindingAwareGraph build_binding_aware_graph(const ApplicationGraph& app,
     }
     if (req.alpha_dst > 0) {
       if (req.alpha_dst < ch.initial_tokens) {
-        throw std::invalid_argument("build_binding_aware_graph: α_dst < Tok on '" + ch.name +
-                                    "'");
+        reject("build_binding_aware_graph: α_dst < Tok on '" + ch.name + "'");
       }
       out.graph.add_channel(ch.dst, conn_actor, ch.consumption_rate, 1,
                             req.alpha_dst - ch.initial_tokens, ch.name + "_dstbuf");
     }
   }
+  set_slices(out, arch, slices);
   return out;
 }
 

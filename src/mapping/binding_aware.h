@@ -45,6 +45,14 @@ struct BindingAwareGraph {
 
   /// Per-tile slice sizes ω used for the sync actors (Υ(s) = w − ω).
   std::vector<std::int64_t> slices;
+
+  /// The sync actor of every inter-tile channel, in channel order, with the
+  /// tile it delivers to: the only actors whose timing depends on ω.
+  struct SyncActor {
+    ActorId actor;
+    TileId tile;
+  };
+  std::vector<SyncActor> sync_actors;
 };
 
 /// Constructs the binding-aware SDFG for a complete `binding` with time
@@ -73,6 +81,15 @@ struct BindingAwareGraph {
 [[nodiscard]] BindingAwareGraph build_binding_aware_graph(
     const ApplicationGraph& app, const Architecture& arch, const Binding& binding,
     const std::vector<std::int64_t>& slices, const ConnectionModel& model = {});
+
+/// Writes the slice vector ω into `bag`, the one place that does: every sync
+/// actor gets Υ(s) = w_dst − ω_dst and `bag.slices` becomes `slices`. The
+/// result equals a fresh build_binding_aware_graph with `slices`, so a search
+/// over ω builds the structure once and patches it per candidate. Throws
+/// std::invalid_argument (same messages as the builder) on a slices/tile count
+/// mismatch or a slice above its tile's wheel, leaving `bag` unchanged.
+void set_slices(BindingAwareGraph& bag, const Architecture& arch,
+                const std::vector<std::int64_t>& slices);
 
 /// Convenience: slices at 50% of every tile's available wheel (at least 1),
 /// the assumption used while constructing static-order schedules (Sec. 9.2).

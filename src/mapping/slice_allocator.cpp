@@ -1,6 +1,7 @@
 #include "src/mapping/slice_allocator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/analysis/cache.h"
 #include "src/analysis/conservative.h"
@@ -12,65 +13,54 @@
 
 namespace sdfmap {
 
-namespace {
+SliceCheck::SliceCheck(CheckContext& ctx, std::string stage, const ApplicationGraph& app,
+                       const Architecture& arch, const Binding& binding,
+                       const std::vector<StaticOrderSchedule>& schedules,
+                       const ExecutionLimits& limits, const ConnectionModel& model,
+                       ThroughputCache* cache)
+    : ctx_(ctx),
+      stage_(std::move(stage)),
+      app_(app),
+      arch_(arch),
+      binding_(binding),
+      schedules_(schedules),
+      limits_(limits),
+      fallback_limits_(limits),
+      model_(model),
+      cache_(cache) {
+  fallback_limits_.budget = AnalysisBudget{};
+}
 
-/// Evaluates the constrained throughput (iterations per time unit; zero on
-/// deadlock) of the bound application under the given slice vector. Each
-/// evaluation runs under the budget's per-check deadline; on exhaustion it
-/// degrades to the conservative [4]-style bound via checked_throughput.
-class SliceEvaluator {
- public:
-  SliceEvaluator(const ApplicationGraph& app, const Architecture& arch,
-                 const Binding& binding, const std::vector<StaticOrderSchedule>& schedules,
-                 const SliceAllocationOptions& options)
-      : app_(app), arch_(arch), binding_(binding), schedules_(schedules), options_(options) {
-    ctx_.fault_hook = options.engine_fault_hook;
-    ctx_.degrade_to_conservative = options.degrade_to_conservative;
-    // The fallback must not inherit the (possibly already expired) budget;
-    // it keeps the count caps only.
-    fallback_limits_ = options.limits;
-    fallback_limits_.budget = AnalysisBudget{};
+Rational SliceCheck::throughput(const std::vector<std::int64_t>& slices) {
+  return checked_throughput(
+      ctx_, stage_, [&] { return exact(slices); },
+      [&] {
+        return conservative_throughput(app_, arch_, binding_, schedules_, slices,
+                                       fallback_limits_, model_, cache_,
+                                       &ctx_.diagnostics.cache)
+            .base.throughput();
+      });
+}
+
+Rational SliceCheck::exact(const std::vector<std::int64_t>& slices) {
+  if (bag_) {
+    set_slices(*bag_, arch_, slices);
+    for (std::size_t t = 0; t < slices.size(); ++t) spec_.tiles[t].slice = slices[t];
+  } else {
+    // Built inside the check: a structural error is this check's error, at
+    // this check's index, and the next check tries again.
+    BindingAwareGraph bag = build_binding_aware_graph(app_, arch_, binding_, slices, model_);
+    gamma_ = compute_repetition_vector(bag.graph);
+    spec_ = make_constrained_spec(arch_, bag, schedules_);
+    bag_ = std::move(bag);
   }
-
-  Rational throughput(const std::vector<std::int64_t>& slices) {
-    return checked_throughput(
-        ctx_, "slices",
-        [&] {
-          const BindingAwareGraph bag = build_binding_aware_graph(
-              app_, arch_, binding_, slices, options_.connection_model);
-          const auto gamma = compute_repetition_vector(bag.graph);
-          if (!gamma) return Rational(0);
-          const ConstrainedSpec spec = make_constrained_spec(arch_, bag, schedules_);
-          ExecutionLimits limits = options_.limits;
-          limits.budget = options_.limits.budget.for_one_check();
-          const ConstrainedResult run =
-              cached_execute_constrained(options_.cache.get(), &ctx_.diagnostics.cache,
-                                         bag.graph, *gamma, spec,
-                                         SchedulingMode::kStaticOrder, limits);
-          return run.base.throughput();
-        },
-        [&] {
-          return conservative_throughput(app_, arch_, binding_, schedules_, slices,
-                                         fallback_limits_, options_.connection_model,
-                                         options_.cache.get(), &ctx_.diagnostics.cache)
-              .base.throughput();
-        });
-  }
-
-  [[nodiscard]] int checks() const { return ctx_.diagnostics.total_checks(); }
-  [[nodiscard]] const StrategyDiagnostics& diagnostics() const { return ctx_.diagnostics; }
-
- private:
-  const ApplicationGraph& app_;
-  const Architecture& arch_;
-  const Binding& binding_;
-  const std::vector<StaticOrderSchedule>& schedules_;
-  const SliceAllocationOptions& options_;
-  ExecutionLimits fallback_limits_;
-  CheckContext ctx_;
-};
-
-}  // namespace
+  if (!gamma_) return Rational(0);
+  ExecutionLimits limits = limits_;
+  limits.budget = limits_.budget.for_one_check();
+  return cached_execute_constrained(cache_, &ctx_.diagnostics.cache, bag_->graph, *gamma_,
+                                    spec_, SchedulingMode::kStaticOrder, limits)
+      .base.throughput();
+}
 
 SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Architecture& arch,
                                       const Binding& binding,
@@ -105,7 +95,11 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
     return result;
   }
 
-  SliceEvaluator evaluator(app, arch, binding, schedules, options);
+  CheckContext ctx;
+  ctx.fault_hook = options.engine_fault_hook;
+  ctx.degrade_to_conservative = options.degrade_to_conservative;
+  SliceCheck check(ctx, "slices", app, arch, binding, schedules, options.limits,
+                   options.connection_model, options.cache.get());
 
   // Slices for the uniform search: fraction k/max_avail of each used tile's
   // remaining wheel, at least one time unit.
@@ -121,11 +115,11 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
 
   // ---- First binary search: one common wheel fraction (Sec. 9.3).
   std::vector<std::int64_t> best = slices_for(max_avail);
-  Rational best_thr = evaluator.throughput(best);
+  Rational best_thr = check.throughput(best);
   if (best_thr < lambda) {
     result.failure_reason = "throughput constraint unreachable with entire remaining wheels";
-    result.throughput_checks = evaluator.checks();
-    result.diagnostics = evaluator.diagnostics();
+    result.throughput_checks = ctx.diagnostics.total_checks();
+    result.diagnostics = ctx.diagnostics;
     return result;
   }
   const Rational band_upper = lambda * (Rational(1) + options.slack);
@@ -134,7 +128,7 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
   while (lo < hi && (lambda.is_zero() || best_thr > band_upper)) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     const auto candidate = slices_for(mid);
-    const Rational thr = evaluator.throughput(candidate);
+    const Rational thr = check.throughput(candidate);
     if (thr >= lambda) {
       hi = mid;
       best = candidate;
@@ -170,7 +164,7 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
           const std::int64_t mid = tlo + (thi - tlo) / 2;
           auto candidate = best;
           candidate[t] = mid;
-          const Rational thr = evaluator.throughput(candidate);
+          const Rational thr = check.throughput(candidate);
           if (thr >= lambda) {
             thi = mid;
             thr_at_thi = thr;
@@ -192,8 +186,8 @@ SliceAllocationResult allocate_slices(const ApplicationGraph& app, const Archite
   result.slices = std::move(best);
   result.achieved_throughput = best_thr;
   result.achieved_period = best_thr.is_zero() ? Rational(0) : best_thr.inverse();
-  result.throughput_checks = evaluator.checks();
-  result.diagnostics = evaluator.diagnostics();
+  result.throughput_checks = ctx.diagnostics.total_checks();
+  result.diagnostics = ctx.diagnostics;
   return result;
 }
 

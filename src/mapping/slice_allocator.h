@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,15 +62,58 @@ struct SliceAllocationResult {
   StrategyDiagnostics diagnostics;
 };
 
+/// The throughput checks of one slice search: a fixed (binding, schedules)
+/// pair evaluated under a sequence of slice vectors ω. The first check builds
+/// the binding-aware graph, its repetition vector and the ConstrainedSpec;
+/// later checks only write ω into them (set_slices and the tiles' slices),
+/// since nothing else depends on ω. Every check runs under
+/// checked_throughput: the fault hook, the per-check budget, the shared cache,
+/// and the conservative [4]-style bound when the exact engine gives up. Used
+/// by the heuristic's binary searches and the exact solver's slice search.
+class SliceCheck {
+ public:
+  /// Checks are counted in `ctx` under `stage`. `ctx`, `app`, `arch`,
+  /// `binding`, `schedules` and `cache` (may be null) must outlive the
+  /// SliceCheck.
+  SliceCheck(CheckContext& ctx, std::string stage, const ApplicationGraph& app,
+             const Architecture& arch, const Binding& binding,
+             const std::vector<StaticOrderSchedule>& schedules, const ExecutionLimits& limits,
+             const ConnectionModel& model, ThroughputCache* cache);
+
+  /// Constrained throughput (iterations per time unit; zero on deadlock) of
+  /// the bound application with slices ω = `slices`.
+  [[nodiscard]] Rational throughput(const std::vector<std::int64_t>& slices);
+
+ private:
+  [[nodiscard]] Rational exact(const std::vector<std::int64_t>& slices);
+
+  CheckContext& ctx_;
+  std::string stage_;
+  const ApplicationGraph& app_;
+  const Architecture& arch_;
+  const Binding& binding_;
+  const std::vector<StaticOrderSchedule>& schedules_;
+  ExecutionLimits limits_;
+  /// The fallback must not inherit the (possibly already expired) budget; it
+  /// keeps the count caps only.
+  ExecutionLimits fallback_limits_;
+  ConnectionModel model_;
+  ThroughputCache* cache_;
+  /// Set by the first check that builds the graph without throwing.
+  std::optional<BindingAwareGraph> bag_;
+  std::optional<RepetitionVector> gamma_;
+  ConstrainedSpec spec_;
+};
+
 /// Allocates TDMA time slices (Sec. 9.3). A first binary search scales one
 /// common fraction of every used tile's remaining wheel between one time
 /// unit and the whole remaining wheel, until the throughput constraint is
 /// met within the slack band; it fails when even the entire remaining wheels
 /// are insufficient. A second per-tile binary search then shrinks each slice
 /// between floor(l_p(t)·ω_t / max_t' l_p(t')) and its current value while the
-/// constraint stays met. Every candidate is evaluated by rebuilding the
-/// binding-aware graph (the sync actors depend on ω) and running the
-/// schedule/TDMA-constrained state-space analysis.
+/// constraint stays met. Every candidate is one SliceCheck: the sync actors
+/// of the binding-aware graph are re-timed for ω and the
+/// schedule/TDMA-constrained state-space analysis runs.
 [[nodiscard]] SliceAllocationResult allocate_slices(
     const ApplicationGraph& app, const Architecture& arch, const Binding& binding,
     const std::vector<StaticOrderSchedule>& schedules,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "src/analysis/state_space.h"
 #include "src/appmodel/paper_example.h"
 #include "src/platform/mesh.h"
@@ -139,6 +143,57 @@ TEST_F(BindingAwareTest, AlphaSmallerThanTokensThrows) {
   for (std::uint32_t a = 0; a < 3; ++a) all_on_t1.bind(ActorId{a}, TileId{0});
   EXPECT_THROW(build_binding_aware_graph(app, arch_, all_on_t1, {5, 5}),
                std::invalid_argument);
+}
+
+/// what() of the invalid_argument `f` throws, or "" when it does not throw.
+template <typename F>
+std::string invalid_argument_of(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST_F(BindingAwareTest, SliceErrorsOfEarlierChannelsPrecedeAStructuralError) {
+  // d2 (a2 -> a3) delivers to t2, then d3 (a3 -> a1) delivers to t1 and has
+  // α_dst below its initial tokens.
+  ApplicationGraph app = make_paper_example_application();
+  EdgeRequirement req = app.edge_requirement(ChannelId{2});
+  req.alpha_dst = 1;  // < tok3 = 2
+  app.set_edge_requirement(ChannelId{2}, req);
+  const auto message = [&](std::vector<std::int64_t> slices) {
+    return invalid_argument_of(
+        [&] { (void)build_binding_aware_graph(app, arch_, binding_, slices); });
+  };
+  EXPECT_EQ(message({5, 5}), "build_binding_aware_graph: α_dst < Tok on 'd3'");
+  EXPECT_EQ(message({5, 11}), "build_binding_aware_graph: slice exceeds wheel on 't2'");
+  // d3's own slice is checked before its α_dst.
+  EXPECT_EQ(message({11, 5}), "build_binding_aware_graph: slice exceeds wheel on 't1'");
+}
+
+TEST_F(BindingAwareTest, SetSlicesRetimesTheSyncActorsOnly) {
+  BindingAwareGraph bag = build();
+  ASSERT_EQ(bag.sync_actors.size(), 2u);  // d2 into t2, d3 into t1
+  set_slices(bag, arch_, {3, 7});
+  EXPECT_EQ(bag.graph.actor(*bag.graph.find_actor("sync_d2")).execution_time, 10 - 7);
+  EXPECT_EQ(bag.graph.actor(*bag.graph.find_actor("sync_d3")).execution_time, 10 - 3);
+  EXPECT_EQ(bag.slices, (std::vector<std::int64_t>{3, 7}));
+  const BindingAwareGraph fresh = build({3, 7});
+  for (std::uint32_t a = 0; a < fresh.graph.num_actors(); ++a) {
+    EXPECT_EQ(bag.graph.actor(ActorId{a}).execution_time,
+              fresh.graph.actor(ActorId{a}).execution_time);
+  }
+
+  // A rejected vector throws the builder's message and changes nothing.
+  EXPECT_EQ(invalid_argument_of([&] { set_slices(bag, arch_, {11, 5}); }),
+            "build_binding_aware_graph: slice exceeds wheel on 't1'");
+  EXPECT_EQ(invalid_argument_of([&] { set_slices(bag, arch_, {5}); }),
+            "build_binding_aware_graph: slices/tile count mismatch");
+  EXPECT_EQ(bag.slices, (std::vector<std::int64_t>{3, 7}));
+  EXPECT_EQ(bag.graph.actor(*bag.graph.find_actor("sync_d2")).execution_time, 3);
+  EXPECT_EQ(bag.graph.actor(*bag.graph.find_actor("sync_d3")).execution_time, 7);
 }
 
 TEST_F(BindingAwareTest, HalfWheelSlices) {

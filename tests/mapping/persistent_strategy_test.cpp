@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -224,6 +225,41 @@ TEST_F(PersistentStrategyTest, WriterElectionPassesToNextOpenerAfterRelease) {
   const StrategyResult warm = allocate_resources(app_, arch_, options);
   EXPECT_EQ(fp(warm), fp(baseline));
   EXPECT_GT(warm.diagnostics.cache.disk_hits, 0);
+}
+
+TEST_F(PersistentStrategyTest, FlushSyncsOnlyShardsAppendedToSinceTheLastSync) {
+  // One long-lived writable store, as a daemon keeps: once the cold run has
+  // synced its appends, an all-hit run fsyncs nothing, and one new record
+  // costs exactly one fsync.
+  std::atomic<int> fsyncs{0};
+  PersistentCacheOptions base;
+  base.fault_hook = [&fsyncs](int, IoOp op, const std::string&) {
+    if (op == IoOp::kFsync) fsyncs.fetch_add(1);
+    return IoFaultDecision::proceed();
+  };
+  const auto cache = make_persistent_throughput_cache(make_temp_dir() + "/store", base);
+  ASSERT_TRUE(cache->persistent()->writable());
+  StrategyOptions options;
+  options.cache = cache;
+  const StrategyResult cold = allocate_resources(app_, arch_, options);
+  ASSERT_TRUE(cold.success);
+  ASSERT_GT(cache->persistent()->stats().appended_records, 0);
+  EXPECT_GT(fsyncs.load(), 0);
+
+  fsyncs = 0;
+  const StrategyResult warm = allocate_resources(app_, arch_, options);
+  EXPECT_EQ(fp(warm), fp(cold));
+  EXPECT_EQ(warm.diagnostics.cache.misses, 0);
+  EXPECT_EQ(fsyncs.load(), 0);
+
+  StateKey novel;
+  novel.words = {1, 2, 3};
+  ASSERT_FALSE(cache->lookup(novel));
+  cache->insert(novel, ConstrainedResult{});
+  cache->flush_persistent();
+  EXPECT_EQ(fsyncs.load(), 1);
+  cache->flush_persistent();  // nothing new since
+  EXPECT_EQ(fsyncs.load(), 1);
 }
 
 TEST_F(PersistentStrategyTest, UnwritableCacheDirDegradesSilently) {
