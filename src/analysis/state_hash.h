@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace sdfmap {
@@ -40,6 +41,26 @@ struct StateKeyHash {
     }
     return static_cast<std::size_t>(h);
   }
+};
+
+/// A StateKey with its StateKeyHash, which the constructor computes. Code
+/// that needs the hash more than once (the throughput cache's shard, bucket
+/// and on-disk segment) takes this type, so the hash is computed once and
+/// always belongs to the key it travels with.
+class HashedKey {
+ public:
+  explicit HashedKey(StateKey key) : key_(std::move(key)), hash_(StateKeyHash{}(key_)) {}
+
+  [[nodiscard]] const StateKey& key() const { return key_; }
+  [[nodiscard]] std::size_t hash() const { return hash_; }
+
+  friend bool operator==(const HashedKey& a, const HashedKey& b) {
+    return a.hash_ == b.hash_ && a.key_ == b.key_;
+  }
+
+ private:
+  StateKey key_;
+  std::size_t hash_;
 };
 
 template <typename Snapshot>

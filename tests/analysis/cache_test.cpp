@@ -60,6 +60,21 @@ TEST(ThroughputCache, MissInsertHitRoundTrip) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
+TEST(ThroughputCache, StateKeyAndHashedKeyFindTheSameEntries) {
+  ThroughputCache cache;
+  ConstrainedResult value;
+  value.base.iteration_period = Rational(7);
+  (void)cache.insert(StateKey{{1, 2}}, value);
+  (void)cache.insert(HashedKey(StateKey{{3, 4}}), value);
+  EXPECT_EQ(cache.size(), 2u);
+  ASSERT_TRUE(cache.lookup(HashedKey(StateKey{{1, 2}})).has_value());
+  ASSERT_TRUE(cache.lookup(StateKey{{3, 4}}).has_value());
+  EXPECT_EQ(cache.lookup(StateKey{{3, 4}})->base.iteration_period, Rational(7));
+  EXPECT_FALSE(cache.lookup(HashedKey(StateKey{{1, 2, 0}})).has_value());
+  EXPECT_EQ(cache.insert(HashedKey(StateKey{{1, 2}}), ConstrainedResult{}), 0u);
+  EXPECT_EQ(cache.size(), 2u);  // the StateKey insert's entry, found by HashedKey
+}
+
 TEST(ThroughputCache, FirstWriterWinsOnDuplicateInsert) {
   ThroughputCache cache;
   const StateKey key{{42}};

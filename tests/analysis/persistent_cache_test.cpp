@@ -74,7 +74,7 @@ std::string make_golden_store(int count) {
   options.dir = dir;
   PersistentCache cache(options);
   EXPECT_TRUE(cache.open_and_recover().empty());
-  for (int i = 0; i < count; ++i) cache.append(key_of(i), value_of(i));
+  for (int i = 0; i < count; ++i) cache.append(HashedKey(key_of(i)), value_of(i));
   cache.flush();
   return dir;
 }
@@ -143,7 +143,7 @@ TEST(PersistentCacheTest, DuplicateKeysKeepFirstRecord) {
     options.dir = dir;
     PersistentCache cache(options);
     (void)cache.open_and_recover();
-    cache.append(key_of(1), value_of(1));
+    cache.append(HashedKey(key_of(1)), value_of(1));
     cache.flush();
   }
   {
@@ -152,7 +152,7 @@ TEST(PersistentCacheTest, DuplicateKeysKeepFirstRecord) {
     options.dir = dir;
     PersistentCache cache(options);
     (void)cache.open_and_recover();
-    cache.append(key_of(1), value_of(99));
+    cache.append(HashedKey(key_of(1)), value_of(99));
     cache.flush();
   }
   PersistentCacheOptions options;
@@ -277,7 +277,7 @@ TEST(PersistentCacheTest, NewerFormatVersionDegradesWithoutTouchingStore) {
   EXPECT_TRUE(cache.open_and_recover().empty());  // zero records served
   EXPECT_FALSE(cache.writable());
   EXPECT_TRUE(has_event(cache, DiskEventKind::kVersionSkew));
-  cache.append(key_of(0), value_of(0));  // silently ignored
+  cache.append(HashedKey(key_of(0)), value_of(0));  // silently ignored
   cache.flush();
 
   // A store owned by a newer tool version is never modified.
@@ -298,7 +298,7 @@ TEST(PersistentCacheTest, StaleFormatVersionReinitializes) {
   EXPECT_TRUE(cache.open_and_recover().empty());  // stale records are not parsed
   EXPECT_TRUE(cache.writable());                  // but a writer starts fresh
   EXPECT_TRUE(has_event(cache, DiskEventKind::kVersionSkew));
-  cache.append(key_of(1), value_of(1));
+  cache.append(HashedKey(key_of(1)), value_of(1));
   cache.flush();
 
   PersistentCache again(options);
@@ -318,7 +318,7 @@ TEST(PersistentCacheTest, GarbageSuperblockReinitializes) {
   PersistentCache cache(options);
   EXPECT_TRUE(cache.open_and_recover().empty());
   EXPECT_TRUE(cache.writable());
-  cache.append(key_of(2), value_of(2));
+  cache.append(HashedKey(key_of(2)), value_of(2));
   cache.flush();
 
   PersistentCache again(options);
@@ -338,10 +338,10 @@ TEST(PersistentCacheTest, SecondConcurrentOpenerIsReadOnly) {
   EXPECT_FALSE(reader.writable());
   EXPECT_TRUE(reader.stats().read_only);
   EXPECT_TRUE(has_event(reader, DiskEventKind::kReadOnly));
-  reader.append(key_of(50), value_of(50));  // silently ignored
+  reader.append(HashedKey(key_of(50)), value_of(50));  // silently ignored
   reader.flush();
 
-  writer.append(key_of(60), value_of(60));
+  writer.append(HashedKey(key_of(60)), value_of(60));
   writer.flush();
 }
 
@@ -381,7 +381,7 @@ TEST(PersistentCacheTest, ShortWriteTornRecordIsSalvagedOnReopen) {
     };
     PersistentCache cache(options);
     EXPECT_EQ(cache.open_and_recover().size(), 6u);
-    cache.append(key_of(7), value_of(7));
+    cache.append(HashedKey(key_of(7)), value_of(7));
     EXPECT_TRUE(cache.stats().degraded);  // the injected EIO tripped the tier
     EXPECT_TRUE(has_event(cache, DiskEventKind::kIoError));
   }
@@ -407,7 +407,7 @@ TEST(PersistentCacheTest, EveryFailedIoCallDegradesGracefully) {
     };
     PersistentCache cache(options);
     (void)cache.open_and_recover();
-    cache.append(key_of(100), value_of(100));
+    cache.append(HashedKey(key_of(100)), value_of(100));
     cache.flush();
   }
   ASSERT_GT(total_calls, 5);
@@ -426,7 +426,7 @@ TEST(PersistentCacheTest, EveryFailedIoCallDegradesGracefully) {
       for (auto& [key, value] : cache.open_and_recover()) {
         recovered.emplace(static_cast<int>(key.words[0] - 1000), std::move(value));
       }
-      cache.append(key_of(100), value_of(100));
+      cache.append(HashedKey(key_of(100)), value_of(100));
       cache.flush();
     };
     ASSERT_NO_THROW(workload()) << "EIO at call " << fail_at;
@@ -455,7 +455,7 @@ TEST(PersistentCacheTest, CrashAtEveryIoCallNeverLosesCommittedRecords) {
     };
     PersistentCache cache(options);
     (void)cache.open_and_recover();
-    cache.append(key_of(100), value_of(100));
+    cache.append(HashedKey(key_of(100)), value_of(100));
     cache.flush();
   }
 
@@ -470,7 +470,7 @@ TEST(PersistentCacheTest, CrashAtEveryIoCallNeverLosesCommittedRecords) {
       PersistentCache cache(options);
       const auto workload = [&] {
         (void)cache.open_and_recover();
-        cache.append(key_of(100), value_of(100));
+        cache.append(HashedKey(key_of(100)), value_of(100));
         cache.flush();
       };
       ASSERT_NO_THROW(workload()) << "crash at call " << crash_at;

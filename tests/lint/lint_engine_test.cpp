@@ -91,6 +91,23 @@ TEST(LintEngineTest, ExtraRulesRunAfterTheRegistry) {
   EXPECT_EQ(d->message, "1 actor(s)");
 }
 
+TEST(LintEngineTest, RunLintComputesGammaItself) {
+  // A consistent, live cycle: a caller-set γ that says "inconsistent" must
+  // not reach the rules.
+  Graph g;
+  const ActorId a = g.add_actor("a", 1);
+  const ActorId b = g.add_actor("b", 1);
+  g.add_channel(a, b, 1, 1, 1, "d1");
+  g.add_channel(b, a, 1, 1, 0, "d2");
+  const std::optional<RepetitionVector> wrong;
+  LintInput in;
+  in.graph = &g;
+  in.graph_gamma = &wrong;
+  const LintResult r = run_lint(in, LintOptions{});
+  EXPECT_FALSE(r.has_code("SDF001"));
+  EXPECT_TRUE(r.clean()) << render_diagnostics_text(r.diagnostics);
+}
+
 TEST(LintEngineTest, RenderingShowsLocationSeverityAndNotes) {
   Diagnostic d;
   d.code = "SDF006";
