@@ -251,18 +251,20 @@ StateKey constrained_cache_key(const Graph& g, const ConstrainedSpec& spec,
   return key;
 }
 
-ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats* stats,
-                                             const Graph& g, const RepetitionVector& gamma,
-                                             const ConstrainedSpec& spec, SchedulingMode mode,
-                                             const ExecutionLimits& limits,
-                                             const TraceObserver& observer) {
-  if (!cache || observer) {
-    // Observed runs bypass the cache: a cached result carries no transitions
-    // to replay into the observer.
-    return execute_constrained(g, gamma, spec, mode, limits, observer);
-  }
+namespace {
+
+/// The one lookup path of the cached engines. Without a cache it only runs
+/// the engine. Otherwise it serves a hit, or runs the engine on a miss and
+/// inserts the result; `stats` counts either. Any engine error (deadline,
+/// cancellation, count cap) throws through before the insert, so an aborted
+/// check leaves the cache untouched. Observed runs pass no cache: a cached
+/// result carries no transitions to replay into the observer.
+template <typename MakeKey, typename Run>
+ConstrainedResult lookup_or_run(ThroughputCache* cache, CacheStats* stats,
+                                const MakeKey& make_key, const Run& run) {
+  if (cache == nullptr) return run();
   if (stats && cache->persistent()) stats->disk_attached = true;
-  const HashedKey key(constrained_cache_key(g, spec, mode, limits));  // the check's only hash
+  const HashedKey key(make_key());  // the check's only hash
   bool from_disk = false;
   if (auto found = cache->lookup(key, &from_disk)) {
     if (stats) {
@@ -272,9 +274,7 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
     return std::move(*found);
   }
   if (stats) ++stats->misses;
-  // Any engine error (deadline, cancellation, count cap) throws through here
-  // before the insert: an aborted check leaves the cache untouched.
-  ConstrainedResult result = execute_constrained(g, gamma, spec, mode, limits, observer);
+  ConstrainedResult result = run();
   const std::size_t evicted = cache->insert(key, result);
   if (stats) {
     ++stats->inserts;
@@ -283,31 +283,31 @@ ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats*
   return result;
 }
 
+}  // namespace
+
+ConstrainedResult cached_execute_constrained(ThroughputCache* cache, CacheStats* stats,
+                                             const Graph& g, const RepetitionVector& gamma,
+                                             const ConstrainedSpec& spec, SchedulingMode mode,
+                                             const ExecutionLimits& limits,
+                                             const TraceObserver& observer) {
+  return lookup_or_run(
+      observer ? nullptr : cache, stats,
+      [&] { return constrained_cache_key(g, spec, mode, limits); },
+      [&] { return execute_constrained(g, gamma, spec, mode, limits, observer); });
+}
+
 SelfTimedResult cached_self_timed_throughput(ThroughputCache* cache, CacheStats* stats,
                                              const Graph& g, const RepetitionVector& gamma,
                                              const ExecutionLimits& limits,
                                              const TraceObserver& observer) {
-  if (!cache || observer) return self_timed_throughput(g, gamma, limits, observer);
-  if (stats && cache->persistent()) stats->disk_attached = true;
-  const HashedKey key(self_timed_cache_key(g, limits));
-  bool from_disk = false;
-  if (auto found = cache->lookup(key, &from_disk)) {
-    if (stats) {
-      ++stats->hits;
-      if (from_disk) ++stats->disk_hits;
-    }
-    return std::move(found->base);
-  }
-  if (stats) ++stats->misses;
-  ConstrainedResult entry;
-  entry.base = self_timed_throughput(g, gamma, limits, observer);
-  SelfTimedResult result = entry.base;
-  const std::size_t evicted = cache->insert(key, std::move(entry));
-  if (stats) {
-    ++stats->inserts;
-    stats->evictions += static_cast<long>(evicted);
-  }
-  return result;
+  return lookup_or_run(observer ? nullptr : cache, stats,
+                       [&] { return self_timed_cache_key(g, limits); },
+                       [&] {
+                         ConstrainedResult entry;
+                         entry.base = self_timed_throughput(g, gamma, limits, observer);
+                         return entry;
+                       })
+      .base;
 }
 
 bool cache_enabled_from_env(bool fallback) {

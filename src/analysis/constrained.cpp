@@ -4,8 +4,8 @@
 #include <deque>
 #include <stdexcept>
 
+#include "src/analysis/explore.h"
 #include "src/analysis/remaining_multiset.h"
-#include "src/analysis/state_hash.h"
 
 namespace sdfmap {
 
@@ -47,10 +47,10 @@ std::int64_t slice_time_between(std::int64_t from, std::int64_t to, std::int64_t
 
 namespace {
 
-/// Shared engine for both scheduling modes (Sec. 8.2 / Sec. 9.2).
+/// The constrained semantics for both scheduling modes (Sec. 8.2 / Sec. 9.2).
 ///
-/// Cost per simulated instant is what bounds slice allocation, so the loop
-/// keeps per-instant work proportional to what changed:
+/// Cost per simulated instant is what bounds slice allocation, so the
+/// fixpoint keeps per-instant work proportional to what changed:
 ///  - actor ports are flattened once per execution (no graph lookups);
 ///  - a START phase only re-evaluates actors whose inputs grew since they
 ///    were last found disabled (a channel has one consumer, so nothing else
@@ -63,22 +63,86 @@ namespace {
 ///    further pass would change nothing. Such a pass is still counted as one
 ///    budget poll, so deadline and cancellation checks land exactly where
 ///    they would with every pass executed.
-class ConstrainedExecutor {
+class ConstrainedSemantics : public ExploreHooks {
  public:
-  ConstrainedExecutor(const Graph& g, const RepetitionVector& gamma,
-                      const ConstrainedSpec& spec, SchedulingMode mode,
-                      const ExecutionLimits& limits, const TraceObserver& observer)
-      : g_(g),
-        gamma_(gamma),
-        spec_(spec),
-        mode_(mode),
-        limits_(limits),
-        observer_(observer),
-        budget_(limits.budget, "execute_constrained") {
+  /// List mode stores each sampled state's per-tile recorded-start counts, so
+  /// the recurrent state splits the recorded schedules into prefix and loop.
+  struct Extra {
+    std::vector<std::size_t> starts;
+  };
+
+  ConstrainedSemantics(const Graph& g, const ConstrainedSpec& spec, SchedulingMode mode,
+                       const ExecutionLimits& limits)
+      : g_(g), spec_(spec), mode_(mode), limits_(limits) {
     validate();
+    init_state();
   }
 
-  ConstrainedResult run();
+  void fixpoint(std::int64_t now, BudgetGuard& budget, TransitionEvent* trace);
+
+  [[nodiscard]] const std::vector<std::int64_t>& fires() const { return fire_count_; }
+
+  /// Serializes the extended state (tokens, per tile: firing, remaining work,
+  /// schedule position, wheel phase and in list mode the ready list; the
+  /// unscheduled actors' remaining work).
+  void encode(StateKey& key, std::int64_t now) const {
+    key.words.clear();
+    key.words.reserve(tokens_.size() + spec_.tiles.size() * 6 + g_.num_actors());
+    key.words.insert(key.words.end(), tokens_.begin(), tokens_.end());
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      const TileState& ts = tiles_[t];
+      key.words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
+      key.words.push_back(ts.busy ? tile_remaining(t, now) : -1);
+      key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
+      key.words.push_back(now % spec_.tiles[t].wheel_size);  // wheel phase
+      if (mode_ == SchedulingMode::kListScheduling) {
+        key.words.push_back(static_cast<std::int64_t>(ts.ready.size()));
+        for (const std::uint32_t a : ts.ready) key.words.push_back(a);
+      }
+    }
+    for (const std::uint32_t a : unscheduled_) {
+      unscheduled_remaining_[a].encode(now, key.words);
+    }
+  }
+
+  /// A zero-slice tile's firing never completes (kNeverCompletes), so it
+  /// counts as deadlocked.
+  [[nodiscard]] std::int64_t next_completion() const {
+    static_assert(kNeverCompletes == kNoCompletion);
+    std::int64_t next = kNoCompletion;
+    for (const TileState& ts : tiles_) {
+      if (ts.busy) next = std::min(next, ts.finish);
+    }
+    for (const std::uint32_t a : unscheduled_) {
+      if (!unscheduled_remaining_[a].empty()) {
+        next = std::min(next, unscheduled_remaining_[a].front());
+      }
+    }
+    return next;
+  }
+
+  void save(Extra& extra) const {
+    if (mode_ != SchedulingMode::kListScheduling) return;
+    extra.starts.resize(tiles_.size());
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      extra.starts[t] = recorded_starts_[t].size();
+    }
+  }
+
+  void finish(SelfTimedResult& result, const Extra* recurrent) {
+    if (mode_ == SchedulingMode::kListScheduling &&
+        result.status == SelfTimedResult::Status::kPeriodic) {
+      schedules.resize(tiles_.size());
+      for (std::size_t t = 0; t < tiles_.size(); ++t) {
+        schedules[t].firings = std::move(recorded_starts_[t]);
+        schedules[t].loop_start = recurrent->starts[t];
+      }
+    }
+    result.max_tokens = std::move(max_tokens_);
+  }
+
+  /// List mode: the recorded schedules, filled by finish() when periodic.
+  std::vector<StaticOrderSchedule> schedules;
 
  private:
   /// One channel end of an actor: inputs use (channel, rate); outputs also
@@ -212,46 +276,19 @@ class ConstrainedExecutor {
     }
   }
 
-  /// Work units the active firing of tile `t` still needs.
-  std::int64_t tile_remaining(std::size_t t) const {
+  /// Work units the active firing of tile `t` still needs at `now`.
+  std::int64_t tile_remaining(std::size_t t, std::int64_t now) const {
     const TileState& ts = tiles_[t];
     if (ts.finish == kNeverCompletes) return exec_time_[ts.firing_actor];  // zero slice
     const TdmaTileSpec& tile = spec_.tiles[t];
-    return slice_time_between(now_, ts.finish, tile.wheel_size, tile.slice, tile.slice_offset);
-  }
-
-  /// Serializes the extended state into a caller-owned key, reusing its word
-  /// storage (see ExecState::encode_key in state_space.cpp: on a map hit the
-  /// buffer survives, so steady-state sampling allocates nothing).
-  void encode_key(StateKey& key) const {
-    key.words.clear();
-    key.words.reserve(tokens_.size() + spec_.tiles.size() * 6 + g_.num_actors());
-    key.words.insert(key.words.end(), tokens_.begin(), tokens_.end());
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      const TileState& ts = tiles_[t];
-      key.words.push_back(ts.busy ? static_cast<std::int64_t>(ts.firing_actor) : -1);
-      key.words.push_back(ts.busy ? tile_remaining(t) : -1);
-      key.words.push_back(static_cast<std::int64_t>(ts.schedule_pos));
-      key.words.push_back(now_ % spec_.tiles[t].wheel_size);  // wheel phase
-      if (mode_ == SchedulingMode::kListScheduling) {
-        key.words.push_back(static_cast<std::int64_t>(ts.ready.size()));
-        for (const std::uint32_t a : ts.ready) key.words.push_back(a);
-      }
-    }
-    for (const std::uint32_t a : unscheduled_) {
-      unscheduled_remaining_[a].encode(now_, key.words);
-    }
+    return slice_time_between(now, ts.finish, tile.wheel_size, tile.slice, tile.slice_offset);
   }
 
   const Graph& g_;
-  const RepetitionVector& gamma_;
   const ConstrainedSpec& spec_;
   const SchedulingMode mode_;
   const ExecutionLimits& limits_;
-  const TraceObserver& observer_;
-  BudgetGuard budget_;
 
-  std::int64_t now_ = 0;
   std::vector<std::int64_t> tokens_;
   std::vector<std::int64_t> max_tokens_;
   std::vector<TileState> tiles_;
@@ -269,248 +306,124 @@ class ConstrainedExecutor {
   std::vector<std::uint32_t> tile_actors_;  // tile-bound actors, ascending
 };
 
-ConstrainedResult ConstrainedExecutor::run() {
-  const std::size_t num_actors = g_.num_actors();
-  init_state();
-
-  struct Snapshot {
-    std::int64_t time = 0;
-    std::vector<std::int64_t> fires;
-    std::vector<std::size_t> starts;  // list mode: per-tile recorded-start counts
-  };
-  StateMap<Snapshot> seen;
-
-  ConstrainedResult result;
-
-  // Sample recurrence-candidate states at completions of a reference actor
-  // (the one with the fewest firings per iteration), as in [10]: this keeps
-  // the stored set proportional to iterations rather than firings.
-  std::uint32_t ref = 0;
-  bool have_ref = false;
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    if (gamma_[a] > 0 && (!have_ref || gamma_[a] < gamma_[ref])) {
-      ref = a;
-      have_ref = true;
-    }
-  }
-  if (!have_ref) return result;
-  std::int64_t sampled_ref_fires = -1;
-  std::uint64_t steps = 0;
+void ConstrainedSemantics::fixpoint(std::int64_t now, BudgetGuard& budget,
+                                    TransitionEvent* trace) {
   const std::int64_t start_cap = limits_.max_tokens_per_channel;
-
-  // Pre-size the sampled-state map from the repetition vector (≈ γ(ref)
-  // samples per iteration, capped) and keep one scratch key plus one
-  // TransitionEvent across the whole run: without an observer the event's
-  // vectors are never touched, with one their capacity is reused.
-  seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(4096, limits_.max_states),
-      static_cast<std::uint64_t>(gamma_[ref]) * 4 + 16)));
-  StateKey scratch;
-  TransitionEvent event;
-
-  while (true) {
-    // ---- Fixpoint at the current instant.
-    if (observer_) {
-      event.time = now_;
-      event.ended.clear();
-      event.started.clear();
+  std::uint64_t instant_events = 0;
+  bool another_pass = true;
+  while (another_pass) {
+    bool changed = false;
+    // A zero-duration start or a capped start can enable more work at this
+    // instant; nothing else can (see the class comment).
+    bool cascade = false;
+    // End unscheduled firings that have completed.
+    for (const std::uint32_t a : unscheduled_) {
+      auto& rem = unscheduled_remaining_[a];
+      const std::int64_t ended = rem.due(now);
+      if (ended == 0) continue;
+      rem.pop_front();
+      produce_outputs(a, ended);
+      fire_count_[a] += ended;
+      if (trace != nullptr) trace->ended.insert(trace->ended.end(), ended, ActorId{a});
+      changed = true;
+      instant_events += static_cast<std::uint64_t>(ended);
     }
-    std::uint64_t instant_events = 0;
-    bool another_pass = true;
-    while (another_pass) {
-      bool changed = false;
-      // A zero-duration start or a capped start can enable more work at this
-      // instant; nothing else can (see the class comment).
-      bool cascade = false;
-      // End unscheduled firings that have completed.
-      for (const std::uint32_t a : unscheduled_) {
-        auto& rem = unscheduled_remaining_[a];
-        const std::int64_t ended = rem.due(now_);
-        if (ended == 0) continue;
-        rem.pop_front();
-        produce_outputs(a, ended);
-        fire_count_[a] += ended;
-        if (observer_) event.ended.insert(event.ended.end(), ended, ActorId{a});
-        changed = true;
-        instant_events += static_cast<std::uint64_t>(ended);
-      }
-      // End tile firings that have completed.
-      for (auto& ts : tiles_) {
-        if (ts.busy && ts.finish == now_) {
-          ts.busy = false;
-          produce_outputs(ts.firing_actor, 1);
-          ++fire_count_[ts.firing_actor];
-          if (observer_) event.ended.push_back(ActorId{ts.firing_actor});
-          changed = true;
-          ++instant_events;
-        }
-      }
-      // Start unscheduled firings (self-timed).
-      for (const std::uint32_t a : unscheduled_) {
-        if (!dirty_[a]) continue;
-        const std::int64_t started = enabled_firings(a);
-        if (started == 0) {
-          dirty_[a] = 0;
-          continue;
-        }
-        if (started == start_cap) {
-          cascade = true;  // stays dirty: more firings may be enabled
-        } else {
-          dirty_[a] = 0;
-        }
-        consume_inputs(a, started);
-        unscheduled_remaining_[a].add(now_ + exec_time_[a], started);
-        cascade = cascade || exec_time_[a] == 0;
-        if (observer_) event.started.insert(event.started.end(), started, ActorId{a});
-        changed = true;
-        instant_events += static_cast<std::uint64_t>(started);
-      }
-      // Start tile firings.
-      if (mode_ == SchedulingMode::kListScheduling) {
-        // Enqueue newly enabled firing instances of every tile actor. A
-        // queued instance claims tokens it has not consumed yet, so the
-        // number of queued instances per actor never exceeds
-        // min_c floor(tokens/rate); starting one lowers both sides by one.
-        for (const std::uint32_t a : tile_actors_) {
-          if (!dirty_[a]) continue;
-          const std::int64_t enabled = enabled_firings(a);
-          if (enabled == start_cap) {
-            cascade = true;
-          } else {
-            dirty_[a] = 0;
-          }
-          auto& ready = tiles_[static_cast<std::size_t>(spec_.actor_tile[a])].ready;
-          for (std::int64_t i = pending_claims_[a]; i < enabled; ++i) {
-            ready.push_back(a);
-            ++pending_claims_[a];
-          }
-        }
-      }
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        TileState& ts = tiles_[t];
-        if (ts.busy) continue;
-        std::uint32_t a = 0;
-        if (mode_ == SchedulingMode::kStaticOrder) {
-          const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
-          if (ts.schedule_pos >= sched.size()) continue;
-          a = sched.at(ts.schedule_pos).value;
-          if (!dirty_[a]) continue;
-          if (!tokens_available(a)) {
-            dirty_[a] = 0;
-            continue;
-          }
-          ts.schedule_pos = sched.next(ts.schedule_pos);
-        } else {
-          if (ts.ready.empty()) continue;
-          a = ts.ready.front();
-          ts.ready.pop_front();
-          --pending_claims_[a];
-          if (!tokens_available(a)) {
-            throw std::logic_error("execute_constrained: ready-list claim without tokens");
-          }
-          recorded_starts_[t].push_back(ActorId{a});
-        }
-        consume_inputs(a, 1);
-        const TdmaTileSpec& tile = spec_.tiles[t];
-        ts.busy = true;
-        ts.firing_actor = a;
-        ts.finish = completion_time(now_, exec_time_[a], tile.wheel_size, tile.slice,
-                                    tile.slice_offset);
-        cascade = cascade || ts.finish == now_;
-        if (observer_) event.started.push_back(ActorId{a});
+    // End tile firings that have completed.
+    for (auto& ts : tiles_) {
+      if (ts.busy && ts.finish == now) {
+        ts.busy = false;
+        produce_outputs(ts.firing_actor, 1);
+        ++fire_count_[ts.firing_actor];
+        if (trace != nullptr) trace->ended.push_back(ActorId{ts.firing_actor});
         changed = true;
         ++instant_events;
       }
-      if (instant_events > limits_.max_events_per_instant) {
-        throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
-                            "execute_constrained: zero-delay cycle at one instant");
-      }
-      budget_.check();
-      another_pass = changed && cascade;
-      // The pass after a change without a cascade would change nothing;
-      // account for it as one poll instead of running it.
-      if (changed && !cascade) budget_.check();
     }
-    if (observer_ && (now_ == 0 || !event.ended.empty() || !event.started.empty())) {
-      observer_(event);
-    }
-
-    // ---- Recurrence detection, sampled at reference-actor completions.
-    if (fire_count_[ref] != sampled_ref_fires) {
-      sampled_ref_fires = fire_count_[ref];
-      encode_key(scratch);
-      // try_emplace leaves `scratch` untouched when the key already exists
-      // (recurrence hit) and moves its buffer into the map otherwise.
-      const auto [it, inserted] = seen.try_emplace(std::move(scratch));
-      if (!inserted) {
-        const Snapshot& prev = it->second;
-        const std::int64_t span = now_ - prev.time;
-        for (std::uint32_t a = 0; a < num_actors; ++a) {
-          const std::int64_t delta = fire_count_[a] - prev.fires[a];
-          if (delta > 0 && gamma_[a] > 0) {
-            result.base.status = SelfTimedResult::Status::kPeriodic;
-            result.base.iteration_period = Rational(span) * Rational(gamma_[a], delta);
-            result.base.cycle_start_time = prev.time;
-            result.base.cycle_end_time = now_;
-            result.base.cycle_firings = delta;
-            result.base.period_firings.resize(num_actors);
-            for (std::uint32_t b = 0; b < num_actors; ++b) {
-              result.base.period_firings[b] = fire_count_[b] - prev.fires[b];
-            }
-            break;
-          }
-        }
-        result.base.states_stored = seen.size();
-        if (mode_ == SchedulingMode::kListScheduling &&
-            result.base.status == SelfTimedResult::Status::kPeriodic) {
-          result.schedules.resize(tiles_.size());
-          for (std::size_t t = 0; t < tiles_.size(); ++t) {
-            result.schedules[t].firings = recorded_starts_[t];
-            result.schedules[t].loop_start = prev.starts[t];
-          }
-        }
-        // The executor is single-shot, so the live occupancy vector can move
-        // into the result instead of being copied (it is O(channels) and this
-        // runs once per execution on the result path).
-        result.base.max_tokens = std::move(max_tokens_);
-        return result;
-      }
-      it->second.time = now_;
-      it->second.fires = fire_count_;
-      if (mode_ == SchedulingMode::kListScheduling) {
-        it->second.starts.resize(tiles_.size());
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          it->second.starts[t] = recorded_starts_[t].size();
-        }
-      }
-      if (seen.size() > limits_.max_states) {
-        throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                            "execute_constrained: state limit exceeded");
-      }
-    } else if (++steps > limits_.max_time_steps) {
-      throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                          "execute_constrained: step limit exceeded (livelock?)");
-    }
-    budget_.check();
-
-    // ---- Advance to the next completion event.
-    std::int64_t next = kNeverCompletes;
-    for (const TileState& ts : tiles_) {
-      if (ts.busy) next = std::min(next, ts.finish);
-    }
+    // Start unscheduled firings (self-timed).
     for (const std::uint32_t a : unscheduled_) {
-      if (!unscheduled_remaining_[a].empty()) {
-        next = std::min(next, unscheduled_remaining_[a].front());
+      if (!dirty_[a]) continue;
+      const std::int64_t started = enabled_firings(a);
+      if (started == 0) {
+        dirty_[a] = 0;
+        continue;
+      }
+      if (started == start_cap) {
+        cascade = true;  // stays dirty: more firings may be enabled
+      } else {
+        dirty_[a] = 0;
+      }
+      consume_inputs(a, started);
+      unscheduled_remaining_[a].add(now + exec_time_[a], started);
+      cascade = cascade || exec_time_[a] == 0;
+      if (trace != nullptr) trace->started.insert(trace->started.end(), started, ActorId{a});
+      changed = true;
+      instant_events += static_cast<std::uint64_t>(started);
+    }
+    // Start tile firings.
+    if (mode_ == SchedulingMode::kListScheduling) {
+      // Enqueue newly enabled firing instances of every tile actor. A queued
+      // instance claims tokens it has not consumed yet, so the number of
+      // queued instances per actor never exceeds min_c floor(tokens/rate);
+      // starting one lowers both sides by one.
+      for (const std::uint32_t a : tile_actors_) {
+        if (!dirty_[a]) continue;
+        const std::int64_t enabled = enabled_firings(a);
+        if (enabled == start_cap) {
+          cascade = true;
+        } else {
+          dirty_[a] = 0;
+        }
+        auto& ready = tiles_[static_cast<std::size_t>(spec_.actor_tile[a])].ready;
+        for (std::int64_t i = pending_claims_[a]; i < enabled; ++i) {
+          ready.push_back(a);
+          ++pending_claims_[a];
+        }
       }
     }
-    if (next == kNeverCompletes) {
-      // Nothing can complete: deadlock (or a zero-slice tile blocks forever).
-      result.base.status = SelfTimedResult::Status::kDeadlock;
-      result.base.states_stored = seen.size();
-      result.base.max_tokens = std::move(max_tokens_);
-      return result;
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      TileState& ts = tiles_[t];
+      if (ts.busy) continue;
+      std::uint32_t a = 0;
+      if (mode_ == SchedulingMode::kStaticOrder) {
+        const StaticOrderSchedule& sched = spec_.tiles[t].schedule;
+        if (ts.schedule_pos >= sched.size()) continue;
+        a = sched.at(ts.schedule_pos).value;
+        if (!dirty_[a]) continue;
+        if (!tokens_available(a)) {
+          dirty_[a] = 0;
+          continue;
+        }
+        ts.schedule_pos = sched.next(ts.schedule_pos);
+      } else {
+        if (ts.ready.empty()) continue;
+        a = ts.ready.front();
+        ts.ready.pop_front();
+        --pending_claims_[a];
+        if (!tokens_available(a)) {
+          throw std::logic_error("execute_constrained: ready-list claim without tokens");
+        }
+        recorded_starts_[t].push_back(ActorId{a});
+      }
+      consume_inputs(a, 1);
+      const TdmaTileSpec& tile = spec_.tiles[t];
+      ts.busy = true;
+      ts.firing_actor = a;
+      ts.finish =
+          completion_time(now, exec_time_[a], tile.wheel_size, tile.slice, tile.slice_offset);
+      cascade = cascade || ts.finish == now;
+      if (trace != nullptr) trace->started.push_back(ActorId{a});
+      changed = true;
+      ++instant_events;
     }
-    now_ = next;
+    if (instant_events > limits_.max_events_per_instant) {
+      throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
+                          "execute_constrained: zero-delay cycle at one instant");
+    }
+    budget.check();
+    another_pass = changed && cascade;
+    // The pass after a change without a cascade would change nothing;
+    // account for it as one poll instead of running it.
+    if (changed && !cascade) budget.check();
   }
 }
 
@@ -520,7 +433,11 @@ ConstrainedResult execute_constrained(const Graph& g, const RepetitionVector& ga
                                       const ConstrainedSpec& spec, SchedulingMode mode,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  return ConstrainedExecutor(g, gamma, spec, mode, limits, observer).run();
+  ConstrainedSemantics sem(g, spec, mode, limits);
+  ConstrainedResult result;
+  result.base = explore(sem, gamma, limits, "execute_constrained", observer);
+  result.schedules = std::move(sem.schedules);
+  return result;
 }
 
 }  // namespace sdfmap

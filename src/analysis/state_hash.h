@@ -7,10 +7,10 @@
 
 namespace sdfmap {
 
-/// Flat encoding of an execution state as a vector of 64-bit words. Both
-/// throughput engines (plain self-timed and the schedule/TDMA-constrained
-/// variant) serialize their state into this key to detect the recurrent state
-/// that closes the periodic phase ([10]). The throughput-check memoization
+/// Flat encoding of an execution state as a vector of 64-bit words. Every
+/// state-space engine serializes its state into this key, and the shared
+/// exploration core (src/analysis/explore.h) detects the recurrent state that
+/// closes the periodic phase ([10]) with it. The throughput-check memoization
 /// cache (src/analysis/cache.h) reuses the same key type for its canonical
 /// configuration fingerprints.
 struct StateKey {

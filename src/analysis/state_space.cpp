@@ -1,48 +1,118 @@
 #include "src/analysis/state_space.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "src/analysis/explore.h"
 #include "src/analysis/remaining_multiset.h"
-#include "src/analysis/state_hash.h"
 
 namespace sdfmap {
 
 namespace {
 
-/// Mutable execution state of the plain self-timed semantics: token counts
-/// plus, per actor, the multiset of absolute finish times of its active
-/// firings.
-struct ExecState {
-  std::vector<std::int64_t> tokens;
-  std::vector<RemainingMultiset> remaining;  // per actor
-
-  /// Serializes into a caller-owned key, reusing its word storage: on a map
-  /// hit the buffer survives intact, so steady-state sampling allocates
-  /// nothing (re-serializing into a fresh StateKey per sample was the
-  /// engine's hottest allocation site).
-  void encode_key(StateKey& k, std::int64_t now) const {
-    k.words.clear();
-    k.words.reserve(tokens.size() + remaining.size() * 3);
-    k.words.insert(k.words.end(), tokens.begin(), tokens.end());
-    for (const auto& r : remaining) r.encode(now, k.words);
+/// The plain self-timed semantics: token counts plus, per actor, the multiset
+/// of absolute finish times of its active firings. Every actor fires as soon
+/// as its inputs allow, as many times as they allow.
+class SelfTimedSemantics : public ExploreHooks {
+ public:
+  SelfTimedSemantics(const Graph& g, const ExecutionLimits& limits)
+      : g_(g), limits_(limits), remaining_(g.num_actors()), fires_(g.num_actors(), 0) {
+    tokens_.resize(g.num_channels());
+    for (std::size_t i = 0; i < g.num_channels(); ++i) {
+      tokens_[i] = g.channels()[i].initial_tokens;
+    }
+    max_tokens_ = tokens_;
   }
+
+  /// Ends finished firings and starts all enabled firings, repeating until
+  /// stable (zero-time firings cascade). A batch of simultaneous completions
+  /// is produced per channel at once.
+  void fixpoint(std::int64_t now, BudgetGuard& budget, TransitionEvent* trace) {
+    const std::size_t num_actors = g_.num_actors();
+    std::uint64_t instant_events = 0;
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (std::uint32_t a = 0; a < num_actors; ++a) {
+        const std::int64_t ended = remaining_[a].due(now);
+        if (ended == 0) continue;
+        remaining_[a].pop_front();
+        for (const ChannelId cid : g_.actor(ActorId{a}).outputs) {
+          tokens_[cid.value] += g_.channel(cid).production_rate * ended;
+          max_tokens_[cid.value] = std::max(max_tokens_[cid.value], tokens_[cid.value]);
+          if (tokens_[cid.value] > limits_.max_tokens_per_channel) {
+            throw AnalysisError(
+                AnalysisErrorKind::kTokenDivergence,
+                "self_timed_throughput: unbounded token accumulation on channel '" +
+                    g_.channel(cid).name + "'");
+          }
+        }
+        fires_[a] += ended;
+        if (trace != nullptr) trace->ended.insert(trace->ended.end(), ended, ActorId{a});
+        changed = true;
+        instant_events += static_cast<std::uint64_t>(ended);
+      }
+      for (std::uint32_t a = 0; a < num_actors; ++a) {
+        const std::int64_t started = enabled_firings(a);
+        if (started == 0) continue;
+        for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
+          tokens_[cid.value] -= g_.channel(cid).consumption_rate * started;
+        }
+        remaining_[a].add(now + g_.actor(ActorId{a}).execution_time, started);
+        if (trace != nullptr) trace->started.insert(trace->started.end(), started, ActorId{a});
+        changed = true;
+        instant_events += static_cast<std::uint64_t>(started);
+      }
+      if (instant_events > limits_.max_events_per_instant) {
+        throw AnalysisError(
+            AnalysisErrorKind::kZeroDelayCycle,
+            "self_timed_throughput: zero-delay cycle (infinitely many events in one instant)");
+      }
+      budget.check();
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::int64_t>& fires() const { return fires_; }
+
+  void encode(StateKey& key, std::int64_t now) const {
+    key.words.clear();
+    key.words.reserve(tokens_.size() + remaining_.size() * 3);
+    key.words.insert(key.words.end(), tokens_.begin(), tokens_.end());
+    for (const auto& r : remaining_) r.encode(now, key.words);
+  }
+
+  [[nodiscard]] std::int64_t next_completion() const {
+    std::int64_t next = kNoCompletion;
+    for (const auto& rem : remaining_) {
+      if (!rem.empty()) next = std::min(next, rem.front());
+    }
+    return next;
+  }
+
+  void finish(SelfTimedResult& result, const Extra* /*recurrent*/) {
+    result.max_tokens = std::move(max_tokens_);
+  }
+
+ private:
+  /// Number of additional firings of `a` enabled by the current tokens (min
+  /// over inputs of floor(tokens/rate)); actors without inputs are capped by
+  /// max_tokens_per_channel — they are unbounded in self-timed execution and
+  /// trip the token-accumulation guard when they produce.
+  [[nodiscard]] std::int64_t enabled_firings(std::uint32_t a) const {
+    std::int64_t enabled = limits_.max_tokens_per_channel;
+    for (const ChannelId cid : g_.actor(ActorId{a}).inputs) {
+      enabled = std::min(enabled, tokens_[cid.value] / g_.channel(cid).consumption_rate);
+      if (enabled == 0) break;
+    }
+    return enabled;
+  }
+
+  const Graph& g_;
+  const ExecutionLimits& limits_;
+  std::vector<std::int64_t> tokens_;
+  std::vector<std::int64_t> max_tokens_;
+  std::vector<RemainingMultiset> remaining_;  // per actor
+  std::vector<std::int64_t> fires_;
 };
-
-/// Number of additional firings of `a` enabled by the current tokens
-/// (min over inputs of floor(tokens/rate)); actors without inputs are capped
-/// by `source_cap` — they are unbounded in self-timed execution and trip the
-/// token-accumulation guard when they produce.
-std::int64_t enabled_firings(const Graph& g, ActorId a,
-                             const std::vector<std::int64_t>& tokens,
-                             std::int64_t source_cap) {
-  std::int64_t enabled = source_cap;
-  for (const ChannelId cid : g.actor(a).inputs) {
-    enabled = std::min(enabled, tokens[cid.value] / g.channel(cid).consumption_rate);
-    if (enabled == 0) break;
-  }
-  return enabled;
-}
 
 }  // namespace
 
@@ -56,173 +126,8 @@ SelfTimedResult self_timed_throughput(const Graph& g, const ExecutionLimits& lim
 SelfTimedResult self_timed_throughput(const Graph& g, const RepetitionVector& gamma,
                                       const ExecutionLimits& limits,
                                       const TraceObserver& observer) {
-  const std::size_t num_actors = g.num_actors();
-  BudgetGuard budget(limits.budget, "self_timed_throughput");
-  ExecState state;
-  state.tokens.resize(g.num_channels());
-  for (std::size_t i = 0; i < g.num_channels(); ++i) {
-    state.tokens[i] = g.channels()[i].initial_tokens;
-  }
-  state.remaining.assign(num_actors, {});
-
-  std::vector<std::int64_t> fire_count(num_actors, 0);
-  std::vector<std::int64_t> max_tokens = state.tokens;
-
-  struct Snapshot {
-    std::int64_t time = 0;
-    std::vector<std::int64_t> fires;
-  };
-  StateMap<Snapshot> seen;
-
-  SelfTimedResult result;
-  std::int64_t now = 0;
-
-  // Recurrence is detected on the sub-sequence of states sampled right after
-  // completions of a reference actor (the "small subset" of [10]): sampling a
-  // periodic sequence at matching progress points preserves recurrence while
-  // shrinking the stored set by orders of magnitude on multi-rate graphs.
-  std::uint32_t ref = 0;
-  bool have_ref = false;
-  for (std::uint32_t a = 0; a < num_actors; ++a) {
-    if (gamma[a] > 0 && (!have_ref || gamma[a] < gamma[ref])) {
-      ref = a;
-      have_ref = true;
-    }
-  }
-  if (!have_ref) return result;  // no fireable actor: trivially deadlocked
-  std::int64_t sampled_ref_fires = -1;
-  std::uint64_t steps = 0;
-
-  // Sampling at reference completions stores roughly γ(ref) states per
-  // iteration; pre-size the map for a few iterations (capped — exploration
-  // may close long before the estimate) to skip the early rehash ladder.
-  seen.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(4096, limits.max_states),
-      static_cast<std::uint64_t>(gamma[ref]) * 4 + 16)));
-
-  // Scratch key reused across samples (see ExecState::encode_key) and one
-  // TransitionEvent reused across instants: with no observer installed its
-  // vectors are never touched, so the per-transition cost of tracing support
-  // is zero; with an observer, clear() keeps their capacity.
-  StateKey scratch;
-  TransitionEvent event;
-
-  while (true) {
-    // --- Fixpoint at the current instant: end finished firings, start all
-    // enabled firings, repeat until stable (zero-time firings cascade).
-    if (observer) {
-      event.time = now;
-      event.ended.clear();
-      event.started.clear();
-    }
-    std::uint64_t instant_events = 0;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        const std::int64_t ended = state.remaining[a].due(now);
-        if (ended == 0) continue;
-        state.remaining[a].pop_front();
-        for (const ChannelId cid : g.actor(ActorId{a}).outputs) {
-          state.tokens[cid.value] += g.channel(cid).production_rate * ended;
-          max_tokens[cid.value] = std::max(max_tokens[cid.value], state.tokens[cid.value]);
-          if (state.tokens[cid.value] > limits.max_tokens_per_channel) {
-            throw AnalysisError(
-                AnalysisErrorKind::kTokenDivergence,
-                "self_timed_throughput: unbounded token accumulation on channel '" +
-                    g.channel(cid).name + "'");
-          }
-        }
-        fire_count[a] += ended;
-        if (observer) event.ended.insert(event.ended.end(), ended, ActorId{a});
-        changed = true;
-        instant_events += static_cast<std::uint64_t>(ended);
-      }
-      for (std::uint32_t a = 0; a < num_actors; ++a) {
-        const std::int64_t started = enabled_firings(g, ActorId{a}, state.tokens,
-                                                     limits.max_tokens_per_channel);
-        if (started == 0) continue;
-        for (const ChannelId cid : g.actor(ActorId{a}).inputs) {
-          state.tokens[cid.value] -= g.channel(cid).consumption_rate * started;
-        }
-        state.remaining[a].add(now + g.actor(ActorId{a}).execution_time, started);
-        if (observer) event.started.insert(event.started.end(), started, ActorId{a});
-        changed = true;
-        instant_events += static_cast<std::uint64_t>(started);
-      }
-      if (instant_events > limits.max_events_per_instant) {
-        throw AnalysisError(
-            AnalysisErrorKind::kZeroDelayCycle,
-            "self_timed_throughput: zero-delay cycle (infinitely many events in one instant)");
-      }
-      budget.check();
-    }
-    if (observer && (now == 0 || !event.ended.empty() || !event.started.empty())) {
-      observer(event);
-    }
-
-    // --- Recurrence detection, sampled at reference-actor completions.
-    if (fire_count[ref] != sampled_ref_fires) {
-      sampled_ref_fires = fire_count[ref];
-      state.encode_key(scratch, now);
-      // try_emplace leaves `scratch` untouched when the key already exists
-      // (recurrence hit) and moves its buffer into the map otherwise.
-      const auto [it, inserted] = seen.try_emplace(std::move(scratch));
-      if (!inserted) {
-        const Snapshot& prev = it->second;
-        const std::int64_t span = now - prev.time;
-        // In a connected consistent graph the firing counts between two equal
-        // token distributions are k whole iterations; find any actor that
-        // fired.
-        for (std::uint32_t a = 0; a < num_actors; ++a) {
-          const std::int64_t delta = fire_count[a] - prev.fires[a];
-          if (delta > 0 && gamma[a] > 0) {
-            result.status = SelfTimedResult::Status::kPeriodic;
-            result.iteration_period = Rational(span) * Rational(gamma[a], delta);
-            result.cycle_start_time = prev.time;
-            result.cycle_end_time = now;
-            result.cycle_firings = delta;
-            result.states_stored = seen.size();
-            result.period_firings.resize(num_actors);
-            for (std::uint32_t b = 0; b < num_actors; ++b) {
-              result.period_firings[b] = fire_count[b] - prev.fires[b];
-            }
-            result.max_tokens = std::move(max_tokens);
-            return result;
-          }
-        }
-        // Equal state, no firing in between: everything has stopped.
-        result.status = SelfTimedResult::Status::kDeadlock;
-        result.states_stored = seen.size();
-        result.max_tokens = std::move(max_tokens);
-        return result;
-      }
-      it->second.time = now;
-      it->second.fires = fire_count;
-      if (seen.size() > limits.max_states) {
-        throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                            "self_timed_throughput: state limit exceeded");
-      }
-    } else if (++steps > limits.max_time_steps) {
-      throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                          "self_timed_throughput: step limit exceeded (livelock?)");
-    }
-    budget.check();
-
-    // --- Advance time to the next completion.
-    std::int64_t next = std::numeric_limits<std::int64_t>::max();
-    for (const auto& rem : state.remaining) {
-      if (!rem.empty()) next = std::min(next, rem.front());
-    }
-    if (next == std::numeric_limits<std::int64_t>::max()) {
-      // Nothing active and (fixpoint done) nothing can start: deadlock.
-      result.status = SelfTimedResult::Status::kDeadlock;
-      result.states_stored = seen.size();
-      result.max_tokens = std::move(max_tokens);
-      return result;
-    }
-    now = next;
-  }
+  SelfTimedSemantics sem(g, limits);
+  return explore(sem, gamma, limits, "self_timed_throughput", observer);
 }
 
 }  // namespace sdfmap

@@ -58,7 +58,8 @@ struct SelfTimedResult {
   /// Absolute time at which the recurrent state was first / again reached.
   std::int64_t cycle_start_time = 0;
   std::int64_t cycle_end_time = 0;
-  /// Reference-actor firings inside the periodic phase.
+  /// Firings inside the periodic phase of the first actor (by index) that
+  /// fired there; iteration_period is read off this actor.
   std::int64_t cycle_firings = 0;
   /// Per-actor firing counts inside the periodic phase (k whole iterations);
   /// empty when deadlocked. Feeds the utilization metrics.

@@ -1,11 +1,9 @@
 #include "src/csdf/analysis.h"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <numeric>
 
-#include "src/analysis/state_hash.h"
+#include "src/analysis/explore.h"
 #include "src/support/rational.h"
 
 namespace sdfmap {
@@ -127,135 +125,104 @@ bool csdf_is_deadlock_free(const CsdfGraph& g) {
   return left == 0;
 }
 
-SelfTimedResult csdf_self_timed_throughput(const CsdfGraph& g,
-                                           const ExecutionLimits& limits) {
-  SelfTimedResult result;
-  const auto repetition = csdf_repetition_vector(g);
-  if (!repetition) {
-    throw std::invalid_argument("csdf_self_timed_throughput: inconsistent CSDF graph");
+namespace {
+
+/// Phase-serialized CSDF semantics: each actor is idle or executes one phase,
+/// held as the absolute finish time of that phase (kIdle when idle); the next
+/// phase starts as soon as every input holds its consumption.
+class CsdfSemantics : public ExploreHooks {
+ public:
+  CsdfSemantics(const CsdfGraph& g, const ExecutionLimits& limits)
+      : g_(g),
+        limits_(limits),
+        phase_(g.num_actors(), 0),
+        finish_(g.num_actors(), kIdle),
+        fires_(g.num_actors(), 0) {
+    tokens_.resize(g.num_channels());
+    for (std::size_t c = 0; c < g.num_channels(); ++c) {
+      tokens_[c] = g.channels()[c].initial_tokens;
+    }
   }
-  const std::size_t n = g.num_actors();
-  if (n == 0) return result;
-  BudgetGuard budget(limits.budget, "csdf_self_timed_throughput");
 
-  std::vector<std::int64_t> tokens(g.num_channels());
-  for (std::size_t c = 0; c < g.num_channels(); ++c) {
-    tokens[c] = g.channels()[c].initial_tokens;
-  }
-  std::vector<std::int64_t> phase(n, 0);
-  std::vector<std::int64_t> remaining(n, -1);  // -1 = idle
-  std::vector<std::int64_t> fires(n, 0);
-
-  struct Snapshot {
-    std::int64_t time = 0;
-    std::vector<std::int64_t> fires;
-  };
-  StateMap<Snapshot> seen;
-
-  // Reference actor: fewest firings per iteration.
-  std::uint32_t ref = 0;
-  for (std::uint32_t a = 0; a < n; ++a) {
-    if (repetition->firings[a] < repetition->firings[ref]) ref = a;
-  }
-  std::int64_t sampled = -1;
-  std::int64_t now = 0;
-  std::uint64_t steps = 0;
-
-  while (true) {
-    // Fixpoint: end zero-remaining firings, start enabled phases.
+  /// Ends the phases finishing at `now` and starts enabled phases, actor by
+  /// actor, until nothing changes.
+  void fixpoint(std::int64_t now, BudgetGuard& budget, TransitionEvent* /*trace*/) {
+    const std::size_t n = g_.num_actors();
     std::uint64_t instant_events = 0;
     bool changed = true;
     while (changed) {
       changed = false;
       for (std::uint32_t a = 0; a < n; ++a) {
-        if (remaining[a] == 0) {
-          phase_produce(g, a, phase[a], tokens);
-          for (const CsdfChannelId cid : g.actor(CsdfActorId{a}).outputs) {
-            if (tokens[cid.value] > limits.max_tokens_per_channel) {
+        if (finish_[a] == now) {
+          phase_produce(g_, a, phase_[a], tokens_);
+          for (const CsdfChannelId cid : g_.actor(CsdfActorId{a}).outputs) {
+            if (tokens_[cid.value] > limits_.max_tokens_per_channel) {
               throw AnalysisError(AnalysisErrorKind::kTokenDivergence,
                                   "csdf_self_timed_throughput: unbounded tokens on '" +
-                                      g.channel(cid).name + "'");
+                                      g_.channel(cid).name + "'");
             }
           }
-          phase[a] =
-              (phase[a] + 1) % static_cast<std::int64_t>(g.actor(CsdfActorId{a}).phases());
-          remaining[a] = -1;
-          ++fires[a];
+          phase_[a] =
+              (phase_[a] + 1) % static_cast<std::int64_t>(g_.actor(CsdfActorId{a}).phases());
+          finish_[a] = kIdle;
+          ++fires_[a];
           changed = true;
           ++instant_events;
         }
-        if (remaining[a] < 0 && phase_enabled(g, a, phase[a], tokens)) {
-          phase_consume(g, a, phase[a], tokens);
-          remaining[a] =
-              g.actor(CsdfActorId{a}).phase_execution_times[static_cast<std::size_t>(phase[a])];
+        if (finish_[a] == kIdle && phase_enabled(g_, a, phase_[a], tokens_)) {
+          phase_consume(g_, a, phase_[a], tokens_);
+          finish_[a] = now + g_.actor(CsdfActorId{a})
+                                 .phase_execution_times[static_cast<std::size_t>(phase_[a])];
           changed = true;
           ++instant_events;
         }
       }
-      if (instant_events > limits.max_events_per_instant) {
+      if (instant_events > limits_.max_events_per_instant) {
         throw AnalysisError(AnalysisErrorKind::kZeroDelayCycle,
                             "csdf_self_timed_throughput: zero-delay phase cycle");
       }
       budget.check();
     }
-
-    // Recurrence, sampled at reference completions.
-    if (fires[ref] != sampled) {
-      sampled = fires[ref];
-      StateKey key;
-      key.words = tokens;
-      key.words.insert(key.words.end(), phase.begin(), phase.end());
-      key.words.insert(key.words.end(), remaining.begin(), remaining.end());
-      const auto [it, inserted] = seen.try_emplace(std::move(key));
-      if (!inserted) {
-        const Snapshot& prev = it->second;
-        const std::int64_t span = now - prev.time;
-        for (std::uint32_t a = 0; a < n; ++a) {
-          const std::int64_t delta = fires[a] - prev.fires[a];
-          if (delta > 0 && repetition->firings[a] > 0) {
-            result.status = SelfTimedResult::Status::kPeriodic;
-            result.iteration_period =
-                Rational(span) * Rational(repetition->firings[a], delta);
-            result.cycle_start_time = prev.time;
-            result.cycle_end_time = now;
-            result.cycle_firings = delta;
-            result.states_stored = seen.size();
-            result.period_firings.resize(n);
-            for (std::uint32_t b = 0; b < n; ++b) {
-              result.period_firings[b] = fires[b] - prev.fires[b];
-            }
-            return result;
-          }
-        }
-        result.states_stored = seen.size();
-        return result;  // deadlock
-      }
-      it->second.time = now;
-      it->second.fires = fires;
-      if (seen.size() > limits.max_states) {
-        throw AnalysisError(AnalysisErrorKind::kStateLimit,
-                            "csdf_self_timed_throughput: state limit exceeded");
-      }
-    } else if (++steps > limits.max_time_steps) {
-      throw AnalysisError(AnalysisErrorKind::kStepLimit,
-                          "csdf_self_timed_throughput: step limit exceeded");
-    }
-    budget.check();
-
-    // Advance to the next completion.
-    std::int64_t dt = std::numeric_limits<std::int64_t>::max();
-    for (std::uint32_t a = 0; a < n; ++a) {
-      if (remaining[a] > 0) dt = std::min(dt, remaining[a]);
-    }
-    if (dt == std::numeric_limits<std::int64_t>::max()) {
-      result.states_stored = seen.size();
-      return result;  // deadlock: nothing active, nothing enabled
-    }
-    for (std::uint32_t a = 0; a < n; ++a) {
-      if (remaining[a] > 0) remaining[a] -= dt;
-    }
-    now += dt;
   }
+
+  [[nodiscard]] const std::vector<std::int64_t>& fires() const { return fires_; }
+
+  /// Tokens, phase indices, then each actor's remaining phase time (-1 idle).
+  void encode(StateKey& key, std::int64_t now) const {
+    key.words.assign(tokens_.begin(), tokens_.end());
+    key.words.insert(key.words.end(), phase_.begin(), phase_.end());
+    for (const std::int64_t f : finish_) key.words.push_back(f == kIdle ? -1 : f - now);
+  }
+
+  [[nodiscard]] std::int64_t next_completion() const {
+    std::int64_t next = kNoCompletion;
+    for (const std::int64_t f : finish_) {
+      if (f != kIdle) next = std::min(next, f);
+    }
+    return next;
+  }
+
+ private:
+  static constexpr std::int64_t kIdle = -1;
+
+  const CsdfGraph& g_;
+  const ExecutionLimits& limits_;
+  std::vector<std::int64_t> tokens_;
+  std::vector<std::int64_t> phase_;
+  std::vector<std::int64_t> finish_;
+  std::vector<std::int64_t> fires_;
+};
+
+}  // namespace
+
+SelfTimedResult csdf_self_timed_throughput(const CsdfGraph& g,
+                                           const ExecutionLimits& limits) {
+  const auto repetition = csdf_repetition_vector(g);
+  if (!repetition) {
+    throw std::invalid_argument("csdf_self_timed_throughput: inconsistent CSDF graph");
+  }
+  CsdfSemantics sem(g, limits);
+  return explore(sem, repetition->firings, limits, "csdf_self_timed_throughput");
 }
 
 }  // namespace sdfmap

@@ -44,16 +44,15 @@ double processing_load(const ApplicationGraph& app, const Architecture& arch,
   return load_fraction(used, total);
 }
 
-double memory_load(const ApplicationGraph& app, const Architecture& arch,
-                   const Binding& binding, TileId tile) {
-  const AllocationUsage usage = compute_usage(app, arch, binding);
+namespace {
+
+double memory_load(const AllocationUsage& usage, const Architecture& arch, TileId tile) {
   return load_fraction(static_cast<double>(usage[tile.value].memory),
                        static_cast<double>(arch.tile(tile).memory));
 }
 
-double communication_load(const ApplicationGraph& app, const Architecture& arch,
-                          const Binding& binding, TileId tile) {
-  const AllocationUsage usage = compute_usage(app, arch, binding);
+double communication_load(const AllocationUsage& usage, const Architecture& arch,
+                          TileId tile) {
   const Tile& t = arch.tile(tile);
   const double out_load = load_fraction(static_cast<double>(usage[tile.value].bandwidth_out),
                                         static_cast<double>(t.bandwidth_out));
@@ -64,11 +63,26 @@ double communication_load(const ApplicationGraph& app, const Architecture& arch,
   return (out_load + in_load + conn_load) / 3.0;
 }
 
+}  // namespace
+
+double memory_load(const ApplicationGraph& app, const Architecture& arch,
+                   const Binding& binding, TileId tile) {
+  return memory_load(compute_usage(app, arch, binding), arch, tile);
+}
+
+double communication_load(const ApplicationGraph& app, const Architecture& arch,
+                          const Binding& binding, TileId tile) {
+  return communication_load(compute_usage(app, arch, binding), arch, tile);
+}
+
 double tile_cost(const ApplicationGraph& app, const Architecture& arch, const Binding& binding,
                  TileId tile, const TileCostWeights& weights) {
+  // The binder calls this once per (actor, candidate tile): one usage pass
+  // serves both the memory and the communication load.
+  const AllocationUsage usage = compute_usage(app, arch, binding);
   return weights.processing * processing_load(app, arch, binding, tile) +
-         weights.memory * memory_load(app, arch, binding, tile) +
-         weights.communication * communication_load(app, arch, binding, tile);
+         weights.memory * memory_load(usage, arch, tile) +
+         weights.communication * communication_load(usage, arch, tile);
 }
 
 }  // namespace sdfmap

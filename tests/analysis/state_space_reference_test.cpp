@@ -1,7 +1,9 @@
 // Differential validation of the run-length-encoded self-timed engine: a
 // deliberately naive simulator (plain multiset of remaining times, one time
-// unit per tick) implements the same semantics; both must agree on the
-// iteration period of randomized strongly-connected multi-rate graphs.
+// unit per tick) implements the same semantics; both must agree on every
+// result field (status, period, stored states, cycle bounds and firings,
+// per-actor period firings, channel occupancy) and on the observer stream,
+// event for event, for randomized strongly-connected multi-rate graphs.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,14 @@
 namespace sdfmap {
 namespace {
 
+/// What the naive simulator saw: the fields self_timed_throughput reports and
+/// its observer stream.
+struct NaiveOutcome {
+  bool finished = false;  // false: ran out of simulated time
+  SelfTimedResult result;
+  std::vector<TransitionEvent> events;
+};
+
 class NaiveSelfTimed {
  public:
   explicit NaiveSelfTimed(const Graph& g) : g_(g) {
@@ -24,37 +34,75 @@ class NaiveSelfTimed {
     for (std::size_t c = 0; c < g.num_channels(); ++c) {
       tokens_[c] = g.channels()[c].initial_tokens;
     }
+    max_tokens_ = tokens_;
     remaining_.resize(g.num_actors());
     fires_.assign(g.num_actors(), 0);
   }
 
-  std::optional<Rational> run(const RepetitionVector& gamma, std::int64_t max_time) {
+  /// Ticks one time unit at a time, sampling full states at completions of
+  /// the reference actor, until a sample recurs, everything stops, or
+  /// `max_time` passes.
+  NaiveOutcome run(const RepetitionVector& gamma, std::int64_t max_time) {
+    NaiveOutcome out;
     std::uint32_t ref = 0;
     for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
       if (gamma[a] < gamma[ref]) ref = a;
     }
-    std::map<std::vector<std::int64_t>, std::pair<std::int64_t, std::int64_t>> seen;
+    struct Sample {
+      std::int64_t time;
+      std::vector<std::int64_t> fires;
+    };
+    std::map<std::vector<std::int64_t>, Sample> seen;
     std::int64_t last_ref = -1;
+    SelfTimedResult& result = out.result;
     for (std::int64_t now = 0; now < max_time; ++now) {
-      settle();
+      TransitionEvent event;
+      event.time = now;
+      settle(event);
+      if (now == 0 || !event.ended.empty() || !event.started.empty()) {
+        out.events.push_back(event);
+      }
       if (fires_[ref] != last_ref) {
         last_ref = fires_[ref];
-        const auto [it, inserted] =
-            seen.try_emplace(encode(), std::make_pair(now, fires_[ref]));
+        const auto [it, inserted] = seen.try_emplace(encode(), Sample{now, fires_});
         if (!inserted) {
-          const auto [prev_time, prev_fires] = it->second;
-          if (fires_[ref] == prev_fires) return std::nullopt;
-          return Rational(now - prev_time) * Rational(gamma[ref], fires_[ref] - prev_fires);
+          const Sample& prev = it->second;
+          // The period is read off the first actor that fired in between.
+          for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
+            const std::int64_t delta = fires_[a] - prev.fires[a];
+            if (delta > 0) {
+              result.status = SelfTimedResult::Status::kPeriodic;
+              result.iteration_period = Rational(now - prev.time) * Rational(gamma[a], delta);
+              result.cycle_start_time = prev.time;
+              result.cycle_end_time = now;
+              result.cycle_firings = delta;
+              for (std::uint32_t b = 0; b < g_.num_actors(); ++b) {
+                result.period_firings.push_back(fires_[b] - prev.fires[b]);
+              }
+              break;
+            }
+          }
+          return finish(std::move(out), seen.size());
         }
       }
+      bool active = false;
       for (auto& rem : remaining_) {
         for (auto& r : rem) --r;
+        active = active || !rem.empty();
       }
+      if (!active) return finish(std::move(out), seen.size());
     }
-    return std::nullopt;
+    return out;
   }
 
  private:
+  NaiveOutcome finish(NaiveOutcome out, std::size_t states) const {
+    out.finished = true;
+    out.result.states_stored = states;
+    out.result.max_tokens = max_tokens_;
+    return out;
+  }
+
   bool can_fire(std::uint32_t a) const {
     for (const ChannelId c : g_.actor(ActorId{a}).inputs) {
       if (tokens_[c.value] < g_.channel(c).consumption_rate) return false;
@@ -62,7 +110,9 @@ class NaiveSelfTimed {
     return true;
   }
 
-  void settle() {
+  /// Pass by pass until nothing changes: first every finished firing ends,
+  /// one at a time, then every enabled firing starts, one at a time.
+  void settle(TransitionEvent& event) {
     bool changed = true;
     while (changed) {
       changed = false;
@@ -72,19 +122,24 @@ class NaiveSelfTimed {
           if (*it == 0) {
             for (const ChannelId c : g_.actor(ActorId{a}).outputs) {
               tokens_[c.value] += g_.channel(c).production_rate;
+              max_tokens_[c.value] = std::max(max_tokens_[c.value], tokens_[c.value]);
             }
             ++fires_[a];
+            event.ended.push_back(ActorId{a});
             it = rem.erase(it);
             changed = true;
           } else {
             ++it;
           }
         }
+      }
+      for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
         while (can_fire(a)) {
           for (const ChannelId c : g_.actor(ActorId{a}).inputs) {
             tokens_[c.value] -= g_.channel(c).consumption_rate;
           }
-          rem.push_back(g_.actor(ActorId{a}).execution_time);
+          remaining_[a].push_back(g_.actor(ActorId{a}).execution_time);
+          event.started.push_back(ActorId{a});
           changed = true;
         }
       }
@@ -104,6 +159,7 @@ class NaiveSelfTimed {
 
   const Graph& g_;
   std::vector<std::int64_t> tokens_;
+  std::vector<std::int64_t> max_tokens_;
   std::vector<std::vector<std::int64_t>> remaining_;
   std::vector<std::int64_t> fires_;
 };
@@ -133,16 +189,29 @@ TEST_P(SelfTimedReference, EngineMatchesNaiveSimulator) {
 
   const auto rv = compute_repetition_vector(g);
   ASSERT_TRUE(rv);
-  const SelfTimedResult engine = self_timed_throughput(g, *rv);
+  std::vector<TransitionEvent> events;
+  const SelfTimedResult engine =
+      self_timed_throughput(g, *rv, {}, [&](const TransitionEvent& e) { events.push_back(e); });
 
   NaiveSelfTimed reference(g);
-  const auto naive = reference.run(*rv, 5000);
+  const NaiveOutcome naive = reference.run(*rv, 5000);
+  ASSERT_TRUE(naive.finished) << "seed " << GetParam();
+  const SelfTimedResult& want = naive.result;
 
-  if (engine.deadlocked()) {
-    EXPECT_FALSE(naive.has_value()) << "seed " << GetParam();
-  } else {
-    ASSERT_TRUE(naive.has_value()) << "seed " << GetParam();
-    EXPECT_EQ(engine.iteration_period, *naive) << "seed " << GetParam();
+  EXPECT_EQ(engine.status, want.status) << "seed " << GetParam();
+  EXPECT_EQ(engine.iteration_period, want.iteration_period) << "seed " << GetParam();
+  EXPECT_EQ(engine.states_stored, want.states_stored) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_start_time, want.cycle_start_time) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_end_time, want.cycle_end_time) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_firings, want.cycle_firings) << "seed " << GetParam();
+  EXPECT_EQ(engine.period_firings, want.period_firings) << "seed " << GetParam();
+  EXPECT_EQ(engine.max_tokens, want.max_tokens) << "seed " << GetParam();
+  ASSERT_EQ(events.size(), naive.events.size()) << "seed " << GetParam();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].time, naive.events[i].time) << "seed " << GetParam() << " event " << i;
+    EXPECT_EQ(events[i].ended, naive.events[i].ended) << "seed " << GetParam() << " event " << i;
+    EXPECT_EQ(events[i].started, naive.events[i].started)
+        << "seed " << GetParam() << " event " << i;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <optional>
 
 #include "src/analysis/state_space.h"
 #include "src/csdf/analysis.h"
@@ -152,6 +154,187 @@ TEST_P(CsdfSdfAgreement, SinglePhaseMatchesSerializedSdf) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsdfSdfAgreement, ::testing::Range<std::uint64_t>(1, 31));
+
+/// Unit-step reference for the phase-serialized CSDF semantics: time advances
+/// one unit per tick; at each instant, actor by actor and pass by pass until
+/// nothing changes, a phase whose remaining time reached zero ends (producing
+/// its rates and moving to the next phase) and an idle actor starts its
+/// current phase when every input holds that phase's consumption. States
+/// (tokens, phases, remaining times) are sampled at completions of the actor
+/// with the fewest firings per iteration, and the first recurrent sample
+/// closes the period.
+class NaiveCsdf {
+ public:
+  explicit NaiveCsdf(const CsdfGraph& g)
+      : g_(g), phase_(g.num_actors(), 0), remaining_(g.num_actors(), -1),
+        fires_(g.num_actors(), 0) {
+    for (const CsdfChannel& c : g.channels()) tokens_.push_back(c.initial_tokens);
+  }
+
+  /// The fields csdf_self_timed_throughput reports (it tracks no channel
+  /// occupancy, so max_tokens stays empty); nullopt when `max_time` passes
+  /// first.
+  std::optional<SelfTimedResult> run(std::int64_t max_time) {
+    const auto repetition = csdf_repetition_vector(g_);
+    std::uint32_t ref = 0;
+    for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
+      if (repetition->firings[a] < repetition->firings[ref]) ref = a;
+    }
+    std::map<std::vector<std::int64_t>, std::pair<std::int64_t, std::vector<std::int64_t>>> seen;
+    std::int64_t last_ref = -1;
+    SelfTimedResult result;
+    for (std::int64_t now = 0; now < max_time; ++now) {
+      settle();
+      if (fires_[ref] != last_ref) {
+        last_ref = fires_[ref];
+        std::vector<std::int64_t> key = tokens_;
+        key.insert(key.end(), phase_.begin(), phase_.end());
+        key.insert(key.end(), remaining_.begin(), remaining_.end());
+        const auto [it, inserted] = seen.try_emplace(key, now, fires_);
+        if (!inserted) {
+          const auto& [prev_time, prev_fires] = it->second;
+          for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
+            const std::int64_t delta = fires_[a] - prev_fires[a];
+            if (delta > 0) {
+              result.status = SelfTimedResult::Status::kPeriodic;
+              result.iteration_period =
+                  Rational(now - prev_time) * Rational(repetition->firings[a], delta);
+              result.cycle_start_time = prev_time;
+              result.cycle_end_time = now;
+              result.cycle_firings = delta;
+              for (std::uint32_t b = 0; b < g_.num_actors(); ++b) {
+                result.period_firings.push_back(fires_[b] - prev_fires[b]);
+              }
+              break;
+            }
+          }
+          result.states_stored = seen.size();
+          return result;
+        }
+      }
+      bool active = false;
+      for (std::int64_t& r : remaining_) {
+        if (r > 0) {
+          --r;
+          active = true;
+        }
+      }
+      if (!active) {
+        result.states_stored = seen.size();
+        return result;  // deadlock
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  void settle() {
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (std::uint32_t a = 0; a < g_.num_actors(); ++a) {
+        const CsdfActor& actor = g_.actor(CsdfActorId{a});
+        const auto k = static_cast<std::size_t>(phase_[a]);
+        if (remaining_[a] == 0) {
+          for (const CsdfChannelId c : actor.outputs) {
+            tokens_[c.value] += g_.channel(c).production[k];
+          }
+          phase_[a] = (phase_[a] + 1) % static_cast<std::int64_t>(actor.phases());
+          remaining_[a] = -1;
+          ++fires_[a];
+          changed = true;
+        }
+        const auto next = static_cast<std::size_t>(phase_[a]);
+        bool enabled = remaining_[a] < 0;
+        for (const CsdfChannelId c : actor.inputs) {
+          enabled = enabled && tokens_[c.value] >= g_.channel(c).consumption[next];
+        }
+        if (enabled) {
+          for (const CsdfChannelId c : actor.inputs) {
+            tokens_[c.value] -= g_.channel(c).consumption[next];
+          }
+          remaining_[a] = actor.phase_execution_times[next];
+          changed = true;
+        }
+      }
+    }
+  }
+
+  const CsdfGraph& g_;
+  std::vector<std::int64_t> tokens_;
+  std::vector<std::int64_t> phase_;
+  std::vector<std::int64_t> remaining_;  // -1 = idle
+  std::vector<std::int64_t> fires_;
+};
+
+/// Random consistent multi-phase graph: 2-5 actors with 1-3 phases each and
+/// phase-dependent execution times (zero allowed, but every actor has a
+/// non-zero phase, so no instant holds infinitely many firings), a chain
+/// closed into a ring by a back channel, and optionally a cross channel and
+/// a self-loop. Per-cycle rate totals follow random cycle counts q and are
+/// split at random over the phases.
+CsdfGraph random_csdf_graph(Rng& rng) {
+  CsdfGraph g;
+  const auto n = static_cast<std::size_t>(rng.uniform(2, 5));
+  std::vector<std::int64_t> q(n);
+  std::vector<std::size_t> phases(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    q[i] = rng.uniform(1, 3);
+    phases[i] = static_cast<std::size_t>(rng.uniform(1, 3));
+    std::vector<std::int64_t> times(phases[i]);
+    for (auto& t : times) t = rng.chance(0.2) ? 0 : rng.uniform(1, 5);
+    times[rng.index(phases[i])] = rng.uniform(1, 5);
+    g.add_actor("c" + std::to_string(i), times);
+  }
+  const auto split = [&](std::int64_t total, std::size_t parts) {
+    std::vector<std::int64_t> v(parts, 0);
+    for (std::int64_t k = 0; k < total; ++k) ++v[rng.index(parts)];
+    return v;
+  };
+  const auto channel = [&](std::size_t s, std::size_t d, bool back) {
+    const std::int64_t lcm = std::lcm(q[s], q[d]);
+    const std::int64_t cons = lcm / q[d];
+    g.add_channel(CsdfActorId{static_cast<std::uint32_t>(s)},
+                  CsdfActorId{static_cast<std::uint32_t>(d)}, split(lcm / q[s], phases[s]),
+                  split(cons, phases[d]), back ? cons * q[d] * rng.uniform(0, 2) : 0);
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) channel(i, i + 1, false);
+  channel(n - 1, 0, true);
+  if (rng.chance(0.3)) {
+    const std::size_t s = rng.index(n);
+    const std::size_t d = rng.index(n);
+    channel(s, d, d <= s);
+  }
+  if (rng.chance(0.3)) {
+    const std::size_t a = rng.index(n);
+    g.add_channel(CsdfActorId{static_cast<std::uint32_t>(a)},
+                  CsdfActorId{static_cast<std::uint32_t>(a)},
+                  std::vector<std::int64_t>(phases[a], 1), std::vector<std::int64_t>(phases[a], 1),
+                  1);
+  }
+  return g;
+}
+
+class CsdfReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CsdfReference, EngineMatchesUnitStepSimulator) {
+  Rng rng(GetParam());
+  const CsdfGraph g = random_csdf_graph(rng);
+  const SelfTimedResult engine = csdf_self_timed_throughput(g);
+  NaiveCsdf reference(g);
+  const auto naive = reference.run(20000);
+  ASSERT_TRUE(naive.has_value()) << "seed " << GetParam();
+  EXPECT_EQ(engine.status, naive->status) << "seed " << GetParam();
+  EXPECT_EQ(engine.iteration_period, naive->iteration_period) << "seed " << GetParam();
+  EXPECT_EQ(engine.states_stored, naive->states_stored) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_start_time, naive->cycle_start_time) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_end_time, naive->cycle_end_time) << "seed " << GetParam();
+  EXPECT_EQ(engine.cycle_firings, naive->cycle_firings) << "seed " << GetParam();
+  EXPECT_EQ(engine.period_firings, naive->period_firings) << "seed " << GetParam();
+  EXPECT_EQ(engine.max_tokens, naive->max_tokens) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsdfReference, ::testing::Range<std::uint64_t>(1, 81));
 
 TEST(CsdfAbstraction, StructureAndRates) {
   CsdfGraph g;
